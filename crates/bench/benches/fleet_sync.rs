@@ -1,22 +1,23 @@
-//! Fleet sync: what peer replication is worth to a follower's first
-//! request.
+//! Fleet sync: what `pdbt sync` plus an artifact-dir warm boot is
+//! worth to a follower's first request.
 //!
 //! Drives two real `pdbt-serve` daemons over loopback TCP. The leader
 //! starts cold and is warmed by one `mcf/tiny` request — paying the
 //! full translation cost, metered with the server-lifetime
-//! `translate_calls` counter. A follower then boots with
-//! `peers = [leader]`: its boot pull streams the leader's sealed
-//! partition over `ART_LIST`/`ART_PULL`, and its own first request for
-//! the same image must translate (almost) nothing.
+//! `translate_calls` counter. `pdbt_serve::sync` (the library behind
+//! `pdbt sync`) then mirrors the leader's sealed partition into a
+//! directory over `ART_LIST`/`ART_PULL`, and a follower boots with that
+//! directory as its artifact dir: its own first request for the same
+//! image must translate (almost) nothing.
 //!
 //! Correctness is asserted, not sampled: leader and follower must
 //! return identical guest output, and the follower must report the
-//! partition pulled and adopted before its request arrives.
+//! synced artifact loaded before its request arrives.
 //!
-//! The acceptance gate is the replication claim itself: the follower
-//! must answer its first request with ≥ 90% fewer translate calls than
-//! the cold leader did (in practice 100% — a pulled artifact
-//! rehydrates every block and trace).
+//! The acceptance gate is the sync claim itself: the follower must
+//! answer its first request with ≥ 90% fewer translate calls than the
+//! cold leader did (in practice 100% — a synced artifact rehydrates
+//! every block and trace).
 //!
 //! Emits `BENCH_fleet.json`. `PDBT_BENCH_SMOKE=1` is recorded in the
 //! artifact so CI trend lines can be told apart from dev runs; the
@@ -25,19 +26,20 @@
 //! wall-clock, which is informational only).
 
 use pdbt_obs::json::Json;
-use pdbt_serve::{ping, shutdown, submit, ServeConfig, Server};
+use pdbt_serve::{ping, shutdown, submit, sync, ServeConfig, Server};
 use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(300);
 const JOBS: usize = 2;
 
-fn spawn_server(peers: Vec<String>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+fn spawn_server(artifact_dir: Option<PathBuf>) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
             jobs: JOBS,
-            peers,
+            artifact_dir,
             ..ServeConfig::default()
         },
     )
@@ -87,23 +89,40 @@ fn main() {
 
     // Leader: cold boot, warmed by one first request that pays the
     // full translation cost.
-    let (leader, leader_handle) = spawn_server(Vec::new());
+    let (leader, leader_handle) = spawn_server(None);
     let (cold_ns, leader_out) = first_request(leader, 0);
     let cold_tc = translate_calls(leader);
     assert!(cold_tc > 0, "leader translated nothing — vacuous");
 
-    // Follower: `bind` runs the boot pull before returning, so the
-    // boot wall-clock below includes the whole transfer + adoption.
+    // Sync: mirror the leader's sealed partition into a directory.
+    let dir = std::env::temp_dir().join(format!("pdbt-bench-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create sync dir");
+    let sync_start = Instant::now();
+    let written = sync(leader, &dir, TIMEOUT).expect("sync");
+    let sync_ns = sync_start.elapsed().as_nanos();
+    assert_eq!(
+        written.len(),
+        1,
+        "leader advertised {} artifacts",
+        written.len()
+    );
+    let transfer_bytes: u64 = written.iter().map(|&(_, n)| n as u64).sum();
+
+    // Follower: `bind` scans the artifact dir before returning, so the
+    // boot wall-clock below includes loading the synced artifact.
     let boot_start = Instant::now();
-    let (follower, follower_handle) = spawn_server(vec![leader.to_string()]);
+    let (follower, follower_handle) = spawn_server(Some(dir.clone()));
     let boot_ns = boot_start.elapsed().as_nanos();
     let pong = ping(follower, TIMEOUT).expect("ping");
-    let fleet = pong.get("fleet").expect("fleet section");
-    let f = |name: &str| fleet.get(name).and_then(Json::as_u64).expect(name);
-    assert_eq!(f("pulled"), 1, "follower did not pull at boot: {pong}");
-    assert_eq!(f("adopted"), 1, "follower did not adopt at boot: {pong}");
+    let arts = pong.get("artifacts").expect("artifacts section");
+    let f = |name: &str| arts.get(name).and_then(Json::as_u64).expect(name);
+    assert_eq!(
+        f("loaded"),
+        1,
+        "follower did not load the synced artifact: {pong}"
+    );
     assert_eq!(f("rejected"), 0);
-    let transfer_bytes = f("bytes");
 
     let (warm_ns, follower_out) = first_request(follower, 1);
     let warm_tc = translate_calls(follower);
@@ -112,8 +131,9 @@ fn main() {
     follower_handle.join().unwrap();
     shutdown(leader, TIMEOUT).expect("shutdown leader");
     leader_handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // Correctness gate: the replicated partition served the same guest
+    // Correctness gate: the synced partition served the same guest
     // answers the leader computed.
     assert_eq!(
         leader_out, follower_out,
@@ -122,10 +142,8 @@ fn main() {
 
     let reduction = 1.0 - warm_tc as f64 / cold_tc as f64;
 
-    println!(
-        "\n=== pdbt fleet sync: cold leader vs replicated follower first request (mcf/tiny) ==="
-    );
-    println!("transfer: {transfer_bytes} bytes pulled and adopted at follower boot");
+    println!("\n=== pdbt fleet sync: cold leader vs synced follower first request (mcf/tiny) ===");
+    println!("transfer: {transfer_bytes} bytes synced, loaded at follower boot");
     println!("{:<28}{:>16}{:>16}", "phase", "translate_calls", "wall ns");
     println!(
         "{:<28}{:>16}{:>16}",
@@ -135,12 +153,13 @@ fn main() {
         "{:<28}{:>16}{:>16}",
         "follower, first request", warm_tc, warm_ns
     );
+    println!("{:<28}{:>16}{:>16}", "sync to directory", "-", sync_ns);
     println!(
         "{:<28}{:>16}{:>16}",
-        "follower, boot incl. pull", "-", boot_ns
+        "follower, boot incl. scan", "-", boot_ns
     );
     println!(
-        "\npeer replication removes {:.1}% of the follower's first-request translate calls",
+        "\nsync + warm boot removes {:.1}% of the follower's first-request translate calls",
         reduction * 100.0
     );
 
@@ -149,6 +168,7 @@ fn main() {
         ("smoke", Json::from(u64::from(smoke))),
         ("workload", Json::str("mcf/tiny")),
         ("transfer_bytes", Json::from(transfer_bytes)),
+        ("sync_ns", Json::from(sync_ns as u64)),
         ("boot_ns", Json::from(boot_ns as u64)),
         ("cold_translate_calls", Json::from(cold_tc)),
         ("cold_first_request_ns", Json::from(cold_ns as u64)),
@@ -160,18 +180,18 @@ fn main() {
     std::fs::write("BENCH_fleet.json", format!("{json}\n")).expect("write BENCH_fleet.json");
     println!("wrote BENCH_fleet.json");
 
-    // The acceptance gate (ISSUE 10): replication must remove ≥ 90% of
-    // the follower's first-request translate calls. A pulled artifact
+    // The acceptance gate: sync + warm boot must remove ≥ 90% of the
+    // follower's first-request translate calls. A synced artifact
     // should hit 100% — zero live translation — and `tests/fleet.rs`
     // pins that exactly; 90% is the floor this bench enforces under
     // any drift.
     assert!(
         warm_tc == 0,
-        "replicated follower still translated {warm_tc} blocks on its first request"
+        "synced follower still translated {warm_tc} blocks on its first request"
     );
     assert!(
         reduction >= 0.90,
-        "replication only reduced translate calls by {:.1}% (< 90% floor)",
+        "sync only reduced translate calls by {:.1}% (< 90% floor)",
         reduction * 100.0
     );
 }

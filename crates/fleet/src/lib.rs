@@ -1,43 +1,51 @@
-//! `pdbt-fleet` — the replication plane behind `pdbt serve --peer`.
+//! `pdbt-fleet` — the file-level fleet: how sealed `.pdba` artifacts
+//! are named, ordered, validated, re-sealed and written, so warm
+//! translation state moves between daemons as plain files.
 //!
 //! PR 7 made warm translation state survive a restart (sealed `.pdba`
-//! artifacts); this crate makes it survive a *fleet*: daemons advertise
-//! the artifacts they hold (`ART_LIST`), stream them to each other
-//! (`ART_PULL` / `ART_PUSH`), and write live cache growth back to disk
-//! as a new generation on drain — so a hot image is translated once
-//! per fleet, not once per node.
+//! artifacts); this crate makes it survive a *fleet*. `pdbt sync LEADER
+//! -o DIR` pulls a running daemon's artifacts (`ART_LIST`/`ART_PULL`)
+//! into a directory, and a daemon serving with `--artifact-dir DIR`
+//! warm-boots from it — at bind time, or on the first sight of an image
+//! whose file arrived later. On drain, a daemon writes live cache growth
+//! back to the same directory as a new generation, so a hot image is
+//! translated once per fleet, not once per node.
 //!
-//! The crate owns the replication-plane *policy*; the wire frames and
-//! the daemon's accept-loop handlers live in `pdbt-serve`:
+//! The crate owns the file-level *policy*; the wire frames, the sync
+//! client and the daemon's handlers live in `pdbt-serve`:
 //!
-//! * [`ArtifactVersion`] — the total order replication converges on:
+//! * [`ArtifactVersion`] — the total order every node converges on:
 //!   generation first, then the five section CRCs lexicographically.
 //!   Taking the max over this order is arrival-order-independent, so
-//!   any replication schedule reaches the same adopted state.
+//!   any sync schedule reaches the same loaded state.
 //! * [`artifact_file_name`] / [`parse_generation`] — the on-disk
 //!   naming scheme that carries the generation *outside* the sealed
 //!   bytes: `<fingerprint:016x>-g<N>.pdba`. The PDBA payload is
 //!   untouched, so the canonical seal fixpoint and `FORMAT_VERSION`
 //!   are preserved.
-//! * [`dedupe_newest`] — the boot-scan rule: one artifact per
+//! * [`dedupe_newest`] — the directory-scan rule: one artifact per
 //!   fingerprint, newest version wins, losers are counted.
 //! * [`seal_live`] — drain write-back: re-seal a live
 //!   [`SharedTranslationState`] through the same canonical writer
 //!   `pdbt compile` uses, so a written-back artifact is a byte-level
 //!   seal fixpoint like any other.
-//! * [`validate`] — the wire trust boundary: a transferred artifact is
-//!   adopted only if it opens with *zero* quarantined sections and its
-//!   content fingerprint matches the declared one. The wire is
-//!   stricter than the disk scan (which salvages partial artifacts):
-//!   a damaged transfer can always be re-pulled, so there is no reason
-//!   to adopt a partial copy over a healthy partition.
+//! * [`write_artifact`] — the one way an artifact lands in a directory:
+//!   a temporary name, then a rename, so a daemon scanning the
+//!   directory never reads a partly written file.
+//! * [`validate`] — the wire trust boundary `pdbt sync` applies before
+//!   writing: a transferred artifact is kept only if it opens with
+//!   *zero* quarantined sections and its content fingerprint matches
+//!   the declared one. The wire is stricter than the disk scan (which
+//!   salvages partial artifacts): a damaged transfer can always be
+//!   re-pulled, so there is no reason to keep a partial copy.
 
 use pdbt_artifact::{open_salvage, seal, section_table, Artifact, ArtifactError, Opened};
 use pdbt_isa_arm::Program;
 use pdbt_obs::json::Json;
 use pdbt_runtime::SharedTranslationState;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 /// Chunk size for streaming a sealed artifact over the frame
 /// transport: comfortably under the 16 MiB frame-payload cap, large
@@ -54,11 +62,11 @@ pub fn chunk_count(len: usize) -> usize {
     len.div_ceil(CHUNK)
 }
 
-/// The replication order of one fingerprint's artifacts: generation
+/// The version order of one fingerprint's artifacts: generation
 /// first, then the five section CRCs lexicographically as the
 /// deterministic tie-break. The derived `Ord` is exactly that order
 /// (field order matters), so `max` over any arrival order converges on
-/// the same version — replication order never changes adopted state.
+/// the same version — sync order never changes what a scan loads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ArtifactVersion {
     /// Monotone per-fingerprint counter: bumped by one every time a
@@ -110,7 +118,7 @@ pub fn parse_generation(path: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// The boot-scan dedupe rule: one winner per fingerprint, highest
+/// The directory-scan dedupe rule: one winner per fingerprint, highest
 /// [`ArtifactVersion`] wins, ties broken by the version's CRC order
 /// (never by scan order). Returns the winners sorted by fingerprint
 /// plus the number of losers — which the server counts as rejects
@@ -137,6 +145,42 @@ pub fn dedupe_newest<T>(
         best.into_iter().map(|(fp, (v, t))| (fp, v, t)).collect(),
         rejected,
     )
+}
+
+/// Writes a sealed artifact into `dir` under its canonical
+/// [`artifact_file_name`], atomically: the bytes go to a temporary file
+/// in the same directory whose name does not end in `.pdba` (so no
+/// directory scan ever reads it), and a rename publishes them. A
+/// concurrent reader sees either no file or the whole artifact, never a
+/// prefix. Returns the published path.
+///
+/// # Errors
+///
+/// The failed write or rename; the temporary file is removed.
+pub fn write_artifact(
+    dir: &Path,
+    fingerprint: u64,
+    generation: u64,
+    bytes: &[u8],
+) -> io::Result<PathBuf> {
+    let name = artifact_file_name(fingerprint, generation);
+    let tmp = dir.join(format!("{name}.{}.tmp", std::process::id()));
+    let path = dir.join(name);
+    // Synced before the rename, so even after a crash the final name
+    // holds the old file or the whole new one.
+    let publish = || {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, &path)
+    };
+    match publish() {
+        Ok(()) => Ok(path),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
 }
 
 /// Re-seals a live translation state through the canonical artifact
@@ -189,8 +233,9 @@ pub fn validate(bytes: &[u8], declared_fingerprint: u64) -> Result<Opened, Strin
     Ok(opened)
 }
 
-/// One entry of an `ART_LIST` advertisement: everything a peer needs
-/// to decide whether to pull — identity, version, and rough size.
+/// One entry of an `ART_LIST` advertisement: everything `pdbt sync`
+/// needs to name and fetch an artifact — identity, version, and rough
+/// size.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArtifactAd {
     /// The guest-image fingerprint (partition key).
@@ -377,6 +422,28 @@ mod tests {
         ];
         let (kept2, _) = dedupe_newest(items);
         assert_eq!(kept2[0].1, kept[0].1);
+    }
+
+    #[test]
+    fn write_artifact_publishes_whole_files_and_leaves_no_temp() {
+        let bytes = sealed_fixture();
+        let dir = std::env::temp_dir().join(format!("pdbt-fleet-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = write_artifact(&dir, 0xab, 2, &bytes).unwrap();
+        assert_eq!(path, dir.join(artifact_file_name(0xab, 2)));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        // Overwriting the same generation replaces the file whole.
+        write_artifact(&dir, 0xab, 2, &bytes[..8]).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), &bytes[..8]);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names.len(), 1, "temporary file left behind: {names:?}");
+        // A directory that does not exist fails cleanly.
+        assert!(write_artifact(&dir.join("missing"), 0xab, 2, &bytes).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -537,27 +537,18 @@ impl ArtifactSnapshot {
     }
 }
 
-/// Replication-plane counters of one serving daemon: what the fleet
-/// protocol (`ART_LIST`/`ART_PULL`/`ART_PUSH`) moved in and out, and
-/// what the drain write-back persisted. Server-global (not per
-/// partition) and updated concurrently by the accept loop and the
-/// replication tick, so everything is atomic. Surfaced as the `fleet`
-/// section of the PING/STATS payloads.
+/// Artifact traffic counters of one serving daemon: what `ART_PULL`
+/// served out and what the drain write-back persisted. Server-global
+/// (not per partition) and atomic, because the accept loop updates
+/// them while STATS reads them. Surfaced as the `fleet` section of the
+/// PING/STATS payloads.
 #[derive(Debug, Default)]
 pub struct FleetCounters {
-    /// Artifacts fetched from peers (boot pull or refresh tick),
-    /// whether or not they were subsequently adopted.
-    pulled: std::sync::atomic::AtomicU64,
-    /// Artifacts served out to peers (answering their `ART_PULL`).
+    /// Artifacts served out (answering an `ART_PULL`).
     pushed: std::sync::atomic::AtomicU64,
-    /// Incoming artifacts that replaced (or created) a partition.
-    adopted: std::sync::atomic::AtomicU64,
-    /// Incoming artifacts refused: validation failure, fingerprint
-    /// mismatch, or a stale generation.
-    rejected: std::sync::atomic::AtomicU64,
     /// Partitions re-sealed to the artifact dir on drain.
     written_back: std::sync::atomic::AtomicU64,
-    /// Total artifact payload bytes moved (in + out + written back).
+    /// Total artifact payload bytes moved (served + written back).
     bytes: std::sync::atomic::AtomicU64,
 }
 
@@ -566,31 +557,10 @@ impl FleetCounters {
         Self::default()
     }
 
-    /// Records an artifact fetched from a peer.
-    #[inline]
-    pub fn record_pulled(&self) {
-        self.pulled
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records an artifact served out to a peer.
+    /// Records an artifact served out to an `ART_PULL`.
     #[inline]
     pub fn record_pushed(&self) {
         self.pushed
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records an incoming artifact adopted into a partition.
-    #[inline]
-    pub fn record_adopted(&self) {
-        self.adopted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records an incoming artifact refused.
-    #[inline]
-    pub fn record_rejected(&self) {
-        self.rejected
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
@@ -613,10 +583,7 @@ impl FleetCounters {
     pub fn snapshot(&self) -> FleetSnapshot {
         use std::sync::atomic::Ordering::Relaxed;
         FleetSnapshot {
-            pulled: self.pulled.load(Relaxed),
             pushed: self.pushed.load(Relaxed),
-            adopted: self.adopted.load(Relaxed),
-            rejected: self.rejected.load(Relaxed),
             written_back: self.written_back.load(Relaxed),
             bytes: self.bytes.load(Relaxed),
         }
@@ -626,14 +593,8 @@ impl FleetCounters {
 /// A point-in-time copy of [`FleetCounters`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetSnapshot {
-    /// Artifacts fetched from peers.
-    pub pulled: u64,
-    /// Artifacts served out to peers.
+    /// Artifacts served out to `ART_PULL`.
     pub pushed: u64,
-    /// Incoming artifacts adopted into partitions.
-    pub adopted: u64,
-    /// Incoming artifacts refused.
-    pub rejected: u64,
     /// Partitions written back on drain.
     pub written_back: u64,
     /// Artifact payload bytes moved.

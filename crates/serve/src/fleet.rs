@@ -1,21 +1,21 @@
-//! The replication-plane client: the peer-facing side of the
-//! `ART_LIST` / `ART_PULL` / `ART_PUSH` frames. A daemon started with
-//! `--peer` uses these to pull artifacts at boot and on its refresh
-//! tick; `pdbt sync` uses them to mirror a daemon's artifacts to disk;
-//! tests use [`push_artifact`] to drive the wire trust boundary.
+//! The artifact-sync client: the requesting side of the `ART_LIST` /
+//! `ART_PULL` frames. `pdbt sync` uses [`sync`] to mirror a running
+//! daemon's sealed artifacts into a directory that another daemon then
+//! serves with `--artifact-dir`; tests use the lower-level calls to
+//! drive the wire trust boundary.
 //!
-//! Artifact transfers are the one multi-frame exchange in the
-//! protocol: a JSON header frame declares `bytes`, `chunks`, and a
-//! whole-artifact `crc32`, then exactly `chunks` raw
-//! [`op::ART_DATA`](crate::proto::op::ART_DATA) frames follow on the
-//! same connection. The receiver verifies the declared length and CRC
+//! An artifact pull is the one multi-frame exchange in the protocol: a
+//! JSON header frame declares `bytes`, `chunks`, and a whole-artifact
+//! `crc32`, then exactly `chunks` raw [`op::ART_DATA`] frames follow on
+//! the same connection. The client verifies the declared length and CRC
 //! before anything else looks at the bytes.
 
 use crate::client::ClientError;
 use crate::proto::{self, op};
-use pdbt_fleet::{chunk_count, ArtifactAd, CHUNK, MAX_ARTIFACT};
+use pdbt_fleet::{chunk_count, validate, write_artifact, ArtifactAd, CHUNK, MAX_ARTIFACT};
 use pdbt_obs::json::Json;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// A sealed artifact fetched from a peer, CRC-verified but not yet
@@ -26,8 +26,6 @@ pub struct PulledArtifact {
     pub fingerprint: u64,
     /// The peer's generation for it.
     pub generation: u64,
-    /// The peer's partition label.
-    pub label: String,
     /// The sealed PDBA bytes.
     pub bytes: Vec<u8>,
 }
@@ -88,7 +86,7 @@ pub fn list_artifacts(
 
 /// Streams one sealed artifact down from a peer, reassembles the
 /// chunk frames, and verifies the declared length and CRC-32. The
-/// caller still owes the trust-boundary validation before adopting.
+/// caller still owes the trust-boundary validation before keeping it.
 ///
 /// # Errors
 ///
@@ -113,11 +111,6 @@ pub fn pull_artifact(
     let total = need("bytes")?;
     let chunks = need("chunks")?;
     let crc = need("crc32")?;
-    let label = header
-        .get("label")
-        .and_then(Json::as_str)
-        .unwrap_or("?")
-        .to_string();
     if total > MAX_ARTIFACT {
         return Err(ClientError::Protocol(format!(
             "peer declares a {total}-byte artifact (cap {MAX_ARTIFACT})"
@@ -156,42 +149,34 @@ pub fn pull_artifact(
     Ok(PulledArtifact {
         fingerprint,
         generation,
-        label,
         bytes,
     })
 }
 
-/// Offers a sealed artifact to a peer: header frame, then the chunk
-/// frames, then the peer's verdict (`{"adopted": …, "reason": …,
-/// "generation": …}`). The peer applies the trust boundary and the
-/// generation order; a refusal is a normal reply, not an error.
+/// Mirrors every artifact a daemon advertises into `dir`: each one is
+/// pulled, checked against the wire trust boundary
+/// ([`pdbt_fleet::validate`]: zero quarantined sections, content
+/// fingerprint as declared), and written atomically as
+/// `{fingerprint:016x}-g{N}.pdba`. A daemon serving `dir` as its
+/// `--artifact-dir` loads the files at boot, or on the first request
+/// for an image whose file arrived after it booted. Returns the
+/// written paths with their sizes, in advertisement order.
 ///
 /// # Errors
 ///
-/// See [`ClientError`].
-pub fn push_artifact(
-    addr: impl ToSocketAddrs,
-    fingerprint: u64,
-    generation: u64,
-    label: &str,
-    bytes: &[u8],
+/// The first failed list, pull, validation or write; files written
+/// before it stay in place.
+pub fn sync(
+    addr: impl ToSocketAddrs + Copy,
+    dir: &Path,
     timeout: Duration,
-) -> Result<Json, ClientError> {
-    let mut stream = connect(addr, timeout)?;
-    let header = Json::obj([
-        ("fingerprint", Json::str(format!("{fingerprint:016x}"))),
-        ("generation", Json::from(generation)),
-        ("bytes", Json::from(bytes.len() as u64)),
-        ("chunks", Json::from(chunk_count(bytes.len()) as u64)),
-        (
-            "crc32",
-            Json::from(u64::from(pdbt_artifact::bytes::crc32(bytes))),
-        ),
-        ("label", Json::str(label)),
-    ]);
-    proto::write_frame(&mut stream, op::ART_PUSH, header.to_string().as_bytes())?;
-    for chunk in bytes.chunks(CHUNK) {
-        proto::write_frame(&mut stream, op::ART_DATA, chunk)?;
+) -> Result<Vec<(PathBuf, usize)>, ClientError> {
+    let mut written = Vec::new();
+    for ad in list_artifacts(addr, timeout)? {
+        let pulled = pull_artifact(addr, ad.fingerprint, timeout)?;
+        validate(&pulled.bytes, ad.fingerprint).map_err(ClientError::Protocol)?;
+        let path = write_artifact(dir, pulled.fingerprint, pulled.generation, &pulled.bytes)?;
+        written.push((path, pulled.bytes.len()));
     }
-    read_result(&mut stream)
+    Ok(written)
 }

@@ -42,6 +42,6 @@ pub mod proto;
 mod server;
 
 pub use client::{ping, shutdown, stats, submit, ClientError};
-pub use fleet::{list_artifacts, pull_artifact, push_artifact, PulledArtifact};
+pub use fleet::{list_artifacts, pull_artifact, sync, PulledArtifact};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use server::{ServeConfig, ServeSummary, Server};

@@ -20,13 +20,13 @@
 //! cannot provoke a multi-gigabyte allocation.
 //!
 //! Request opcodes come from the client (`SUBMIT`, `PING`,
-//! `SHUTDOWN`, `STATS`, and the fleet's `ART_LIST`/`ART_PULL`/
-//! `ART_PUSH`); response opcodes have the top bit set (`RESULT`,
-//! `ERROR`, `PONG`). One request frame per connection, answered by
-//! exactly one response frame — except artifact transfers, which
-//! follow their JSON header frame with a counted run of raw
-//! [`op::ART_DATA`] chunk frames on the same connection, so a sealed
-//! artifact larger than [`MAX_PAYLOAD`] can still cross the wire.
+//! `SHUTDOWN`, `STATS`, and `pdbt sync`'s `ART_LIST`/`ART_PULL`);
+//! response opcodes have the top bit set (`RESULT`, `ERROR`, `PONG`).
+//! One request frame per connection, answered by exactly one response
+//! frame — except artifact pulls, which follow their JSON header frame
+//! with a counted run of raw [`op::ART_DATA`] chunk frames on the same
+//! connection, so a sealed artifact larger than [`MAX_PAYLOAD`] can
+//! still cross the wire.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -59,31 +59,23 @@ pub mod op {
     /// queue depth, per-partition latency quantiles, flight-recorder
     /// tail).
     pub const STATS: u8 = 0x04;
-    /// Peer → server: advertise your sealed artifacts (empty payload).
+    /// Client → server: advertise your sealed artifacts (empty payload).
     /// Answered with a `RESULT` frame listing, per partition, the
     /// guest-image fingerprint (hex), generation, section CRCs, and
-    /// block/trace counts — everything a peer needs to decide what to
+    /// block/trace counts — everything a client needs to decide what to
     /// pull.
     pub const ART_LIST: u8 = 0x05;
-    /// Peer → server: stream a sealed artifact by fingerprint (JSON
+    /// Client → server: stream a sealed artifact by fingerprint (JSON
     /// `{"fingerprint": "<hex>"}` payload). Answered with a `RESULT`
     /// header frame (`generation`, `bytes`, `chunks`, `crc32`) followed
     /// by that many [`ART_DATA`] frames — the one place the protocol's
     /// one-frame-per-direction rule bends, so artifacts larger than
     /// [`MAX_PAYLOAD`](super::MAX_PAYLOAD) can cross it.
     pub const ART_PULL: u8 = 0x06;
-    /// Peer → server: offer a sealed artifact (JSON header payload with
-    /// `fingerprint`, `generation`, `bytes`, `chunks`, `crc32`,
-    /// `label`), followed by `chunks` [`ART_DATA`] frames on the same
-    /// connection. The receiver reassembles, checks length and CRC,
-    /// then applies the wire trust boundary (`pdbt_fleet::validate`)
-    /// and the generation order before adopting; it answers with one
-    /// `RESULT` frame (`adopted`, `reason`, `generation`).
-    pub const ART_PUSH: u8 = 0x07;
-    /// A raw binary artifact chunk (at most `pdbt_fleet::CHUNK` bytes),
-    /// the continuation frame of [`ART_PULL`] and [`ART_PUSH`]
-    /// streams. Direction-agnostic: the stream it continues determines
-    /// who sends it.
+    /// Server → client: a raw binary artifact chunk (at most
+    /// `pdbt_fleet::CHUNK` bytes), the continuation frame of an
+    /// [`ART_PULL`] stream. (0x07 is retired: it carried artifact
+    /// pushes into a running daemon.)
     pub const ART_DATA: u8 = 0x08;
     /// Server → client: a completed run's report (JSON payload).
     pub const RESULT: u8 = 0x81;

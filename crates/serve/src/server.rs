@@ -37,6 +37,15 @@
 //! explicitly shielded, so one caller's chaos run cannot degrade a
 //! neighbour's session.
 //!
+//! # Artifacts
+//!
+//! With an artifact directory, the server warm-boots every image the
+//! directory holds at bind time, looks again for `{fp:016x}-g*.pdba`
+//! the first time it sees any other image (so a file `pdbt sync`
+//! dropped in later still warms that image's first request), answers
+//! `ART_LIST`/`ART_PULL` from lazily re-sealed partitions, and writes
+//! partitions that grew live back on drain as the next generation.
+//!
 //! # Drain semantics
 //!
 //! `SHUTDOWN` is acknowledged immediately, then the accept loop stops
@@ -47,21 +56,22 @@
 use crate::proto::{self, op};
 use pdbt_core::RuleSet;
 use pdbt_fleet::{
-    artifact_file_name, chunk_count, dedupe_newest, parse_generation, seal_live, ArtifactAd,
-    ArtifactVersion, CHUNK, MAX_ARTIFACT,
+    chunk_count, dedupe_newest, parse_generation, seal_live, write_artifact, ArtifactAd,
+    ArtifactVersion, CHUNK,
 };
+use pdbt_isa_arm::Program;
 use pdbt_obs::json::Json;
-use pdbt_obs::{LatencyHists, PhaseNs, RequestSummary};
+use pdbt_obs::{LatencyHists, PhaseNs, RequestSummary, ServerSnapshot};
 use pdbt_par::TaskQueue;
 use pdbt_runtime::{BackendKind, Engine, EngineConfig, RunSetup, SharedTranslationState};
 use pdbt_workloads::{build, Benchmark, Scale, Workload};
-use rand::prelude::*;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-connection socket timeout: a wedged or malicious peer can stall
@@ -89,26 +99,17 @@ pub struct ServeConfig {
     /// from: every loadable artifact pre-creates its guest image's
     /// partition with the artifact's code cache, trace library, and
     /// (when present) ruleset, so the first request for that image
-    /// translates nothing. Artifacts that fail to load — wrong version,
-    /// damaged header, fingerprint mismatch — are counted and skipped;
-    /// the image boots cold on first sight instead. Never fatal.
+    /// translates nothing. An image first seen after boot is looked up
+    /// in the directory again (`{fp:016x}-g*.pdba`) before it falls
+    /// back to a cold partition. Artifacts that fail to load — wrong
+    /// version, damaged header, fingerprint mismatch — are counted and
+    /// skipped; the image boots cold instead. Never fatal. On drain,
+    /// partitions that grew live are written back here as the next
+    /// generation.
     pub artifact_dir: Option<PathBuf>,
     /// Host block executor every session runs with (`--backend`).
     /// Defaults to the engine default (threaded, or `PDBT_BACKEND`).
     pub backend: BackendKind,
-    /// Peer daemons to replicate artifacts from (`--peer`, repeatable).
-    /// With peers set, `bind` pulls every missing-or-newer artifact
-    /// before the server starts answering — a follower's first request
-    /// hits a warm partition — and [`Server::serve`] keeps pulling on
-    /// the refresh tick. Peer failures are logged and skipped, never
-    /// fatal: a follower that cannot reach its peers boots cold.
-    pub peers: Vec<String>,
-    /// Period of the replication refresh tick (`--replicate-interval`).
-    /// Each tick re-runs the pull pass against every peer after a
-    /// seeded jitter (0.5–1.5× the period, seeded from the listen
-    /// port) so a restarted fleet does not thundering-herd its
-    /// leaders. `None` (the default) replicates at boot only.
-    pub replicate_interval: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -121,8 +122,6 @@ impl Default for ServeConfig {
             flight_path: None,
             artifact_dir: None,
             backend: EngineConfig::default().backend,
-            peers: Vec::new(),
-            replicate_interval: None,
         }
     }
 }
@@ -140,9 +139,9 @@ pub struct ServeSummary {
 /// State shared between the accept loop and the session workers.
 #[derive(Debug)]
 struct ServerCtx {
-    /// One translation-state partition per guest-image fingerprint
-    /// (see the module docs on why images must not share a cache).
-    states: Mutex<HashMap<u64, Arc<SharedTranslationState>>>,
+    /// One partition per guest-image fingerprint (see the module docs
+    /// on why images must not share a cache).
+    partitions: Mutex<HashMap<u64, Partition>>,
     /// Memoized workload builds, keyed by `(benchmark, scale)`.
     /// Building a benchmark is deterministic but not cheap, so the
     /// first request for a corpus pays for it and later requests reuse
@@ -159,9 +158,6 @@ struct ServerCtx {
     jobs: usize,
     /// Host block executor for every session.
     backend: BackendKind,
-    /// Human-readable label per partition fingerprint (`mcf/tiny`,
-    /// `inline`), recorded on first sight for the STATS payload.
-    labels: Mutex<HashMap<u64, String>>,
     /// When the server started serving (uptime reference).
     started: Instant,
     /// Monotone STATS snapshot sequence: every snapshot claims the
@@ -172,55 +168,73 @@ struct ServerCtx {
     served: AtomicU64,
     /// Sessions currently executing on a worker.
     active: AtomicU64,
-    /// Artifact warm-boot tally: seeded by the bind-time scan, and
-    /// bumped at runtime when a transferred artifact's sections turn
-    /// out quarantinable (the wire rejects it, but the damage is
-    /// counted where operators already look for it).
-    artifacts: ArtifactBoot,
-    /// Replication-plane bookkeeping per partition: the guest program
-    /// (for re-sealing), the current sealed bytes and their version,
-    /// and what generation the artifact dir holds.
-    replicas: Mutex<HashMap<u64, ReplicaMeta>>,
-    /// Serializes replication-plane mutations (sealing, adoption,
-    /// write-back) between the accept loop and the refresh tick. The
-    /// inner `states`/`labels`/`replicas` locks stay short-lived;
-    /// this one scopes a whole decide-then-adopt sequence so two
-    /// concurrent transfers cannot interleave their version checks.
-    replication: Mutex<()>,
-    /// Replication-plane counters (pulled/pushed/adopted/rejected/
-    /// written_back/bytes), surfaced as the `fleet` PING/STATS section.
+    /// Artifact load tally: the bind-time scan plus every first-sight
+    /// lookup.
+    artifacts: ArtifactTally,
+    /// Artifact traffic counters (served to `ART_PULL`, written back
+    /// on drain, bytes), surfaced as the `fleet` PING/STATS section.
     fleet: pdbt_obs::FleetCounters,
     /// Response frames that failed to write back to their client.
     /// Nonzero means clients are vanishing mid-reply (or worse, the
     /// server is wedged writing) — the happy-path tests pin it to 0.
     reply_errors: AtomicU64,
-    /// Peers to replicate from, in `--peer` order.
-    peers: Vec<String>,
-    /// Where adopted artifacts persist and drained partitions write
-    /// back to.
+    /// Where artifacts load from and drained partitions write back to.
     artifact_dir: Option<PathBuf>,
 }
 
-/// Per-connection socket timeout for peer replication calls.
-const FLEET_TIMEOUT: Duration = Duration::from_secs(30);
+/// Locks `m`, recovering the data if a panicking holder poisoned it.
+/// Every critical section in this module is a single lookup, insert or
+/// field store, so a panic can never leave a half-updated map behind;
+/// refusing the lock would only turn one caught session panic into a
+/// failure of every later request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-/// The artifact warm-boot tally. All-zero when the server boots cold
-/// (no `--artifact-dir`); `sections_quarantined` also moves at runtime
-/// when a wire transfer carries quarantinable damage.
+/// One guest image's partition: its live translation state plus what
+/// sealing, advertising and writing it back need.
+#[derive(Debug)]
+struct Partition {
+    state: Arc<SharedTranslationState>,
+    /// Human-readable label (`mcf/tiny`, `inline`, or the artifact's).
+    label: String,
+    /// The guest image — sealing needs the GIMG section.
+    program: Arc<Program>,
+    /// The latest sealed bytes and their advertisement, refreshed
+    /// lazily when the live cache outgrows them. The shared cache only
+    /// ever grows and blocks are immutable, so `ad.blocks` matching the
+    /// live block count means the seal is current. `None` until first
+    /// sealed, and for a boot artifact that salvaged damage.
+    sealed: Option<(Arc<Vec<u8>>, ArtifactAd)>,
+    /// The generation the artifact dir holds for this image (`None` =
+    /// not on disk); drain write-back only writes past it.
+    disk_generation: Option<u64>,
+}
+
+/// The artifact load tally. All-zero when the server has no artifact
+/// directory.
 #[derive(Debug, Default)]
-struct ArtifactBoot {
+struct ArtifactTally {
     /// Artifacts that loaded and warmed a partition.
     loaded: AtomicU64,
     /// Artifacts rejected wholesale (unreadable, bad header/version,
-    /// fingerprint mismatch) or shadowed by a newer generation of the
-    /// same image — the image boots from the winner or cold.
+    /// named for another image) or shadowed by a newer generation of
+    /// the same image — the image boots from the winner or cold.
     rejected: AtomicU64,
-    /// Sections quarantined inside scanned or transferred artifacts.
+    /// Sections quarantined inside loaded artifacts.
     sections_quarantined: AtomicU64,
 }
 
-impl ArtifactBoot {
-    fn to_json(&self) -> Json {
+impl ArtifactTally {
+    fn record(&self, scan: &Scan) {
+        self.loaded
+            .fetch_add(scan.partitions.len() as u64, Ordering::Relaxed);
+        self.rejected.fetch_add(scan.rejected, Ordering::Relaxed);
+        self.sections_quarantined
+            .fetch_add(scan.quarantined, Ordering::Relaxed);
+    }
+
+    fn to_json(&self, trace_hits: u64) -> Json {
         Json::obj([
             ("loaded", Json::from(self.loaded.load(Ordering::Relaxed))),
             (
@@ -231,74 +245,175 @@ impl ArtifactBoot {
                 "sections_quarantined",
                 Json::from(self.sections_quarantined.load(Ordering::Relaxed)),
             ),
+            ("trace_hits", Json::from(trace_hits)),
         ])
     }
 }
 
-/// What the replication plane knows about one partition beyond its
-/// live [`SharedTranslationState`]: enough to advertise it, serve it
-/// to a peer, and write it back to disk.
-#[derive(Debug)]
-struct ReplicaMeta {
-    /// The partition label (advertised and sealed into write-backs).
-    label: String,
-    /// The guest image — re-sealing needs the GIMG section.
-    program: pdbt_isa_arm::Program,
-    /// Version of `sealed`, or of the next seal's predecessor.
-    version: ArtifactVersion,
-    /// The current sealed bytes, lazily refreshed when the live cache
-    /// outgrows them (`None` until the partition is first sealed).
-    sealed: Option<Arc<Vec<u8>>>,
-    /// How many blocks `sealed` captured — the staleness check: the
-    /// shared cache only ever grows and blocks are immutable, so a
-    /// length match means the sealed bytes are current.
-    sealed_blocks: usize,
-    /// The generation the artifact dir holds for this image (`None` =
-    /// not on disk); drain write-back only writes when it has moved
-    /// past this.
-    disk_generation: Option<u64>,
+/// What one artifact-directory scan produced: the winning partitions
+/// plus the tally it adds to [`ArtifactTally`].
+#[derive(Debug, Default)]
+struct Scan {
+    partitions: Vec<(u64, Partition)>,
+    rejected: u64,
+    quarantined: u64,
 }
 
 impl ServerCtx {
-    /// The partition for a guest image, created on first sight. Each
+    /// The partition for a guest image. The first sight of an image
+    /// looks for its artifact in the artifact dir (outside the lock),
+    /// then creates the partition warm from it or cold. Each
     /// partition's telemetry plane gets one latency slot per worker
-    /// and is stamped with the image fingerprint. The guest program is
-    /// recorded alongside so the replication plane can re-seal the
-    /// partition later (drain write-back, peer pulls).
-    fn state_for(
-        &self,
-        image: u64,
-        label: &str,
-        program: &pdbt_isa_arm::Program,
-    ) -> Arc<SharedTranslationState> {
-        let mut map = self.states.lock().expect("state map poisoned");
-        let state = Arc::clone(map.entry(image).or_insert_with(|| {
-            Arc::new(SharedTranslationState::with_telemetry(
-                self.rules.clone(),
+    /// and is stamped with the image fingerprint.
+    fn state_for(&self, image: u64, label: &str, program: &Program) -> Arc<SharedTranslationState> {
+        if let Some(p) = lock(&self.partitions).get(&image) {
+            return Arc::clone(&p.state);
+        }
+        let scan = self
+            .artifact_dir
+            .as_deref()
+            .map(|dir| self.scan_artifacts(dir, Some(image)));
+        match lock(&self.partitions).entry(image) {
+            // A concurrent first request got there first; this
+            // request's scan (and its tally) is dropped.
+            Entry::Occupied(e) => Arc::clone(&e.get().state),
+            Entry::Vacant(e) => {
+                let warm = scan.and_then(|mut scan| {
+                    self.artifacts.record(&scan);
+                    scan.partitions.pop().map(|(_, p)| p)
+                });
+                let p = warm.unwrap_or_else(|| Partition {
+                    state: Arc::new(SharedTranslationState::with_telemetry(
+                        self.rules.clone(),
+                        self.cache_shards,
+                        self.jobs,
+                        image,
+                    )),
+                    label: label.to_string(),
+                    program: Arc::new(program.clone()),
+                    sealed: None,
+                    disk_generation: None,
+                });
+                Arc::clone(&e.insert(p).state)
+            }
+        }
+    }
+
+    /// Loads the newest artifact per guest image from `dir`: every
+    /// `*.pdba` file, or with `image` set only the files named for it
+    /// (`{image:016x}-g*.pdba`). Files are read in name order and
+    /// opened in salvage mode; the survivors are deduplicated by
+    /// fingerprint keeping the *newest* [`ArtifactVersion`] (file-name
+    /// generation, section CRCs as the tie-break — never scan order).
+    /// Shadowed duplicates are counted as rejects, not silently
+    /// dropped. Temporary files from an in-progress write do not end in
+    /// `.pdba` and are never read.
+    ///
+    /// Failure is never fatal and never aborts the scan: an unreadable
+    /// or rejected artifact is counted and logged, and that image
+    /// simply boots cold. When an artifact carries no ruleset — or its
+    /// RULE section was quarantined — the partition falls back to the
+    /// server's own rules, exactly as a cold partition would.
+    fn scan_artifacts(&self, dir: &Path, image: Option<u64>) -> Scan {
+        let prefix = image.map(|fp| format!("{fp:016x}-g"));
+        let wanted = |p: &Path| {
+            p.extension().is_some_and(|e| e == "pdba")
+                && prefix.as_deref().is_none_or(|pre| {
+                    p.file_name()
+                        .and_then(|n| n.to_str())
+                        .is_some_and(|n| n.starts_with(pre))
+                })
+        };
+        let mut scan = Scan::default();
+        let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
+            Ok(entries) => entries
+                .filter_map(Result::ok)
+                .map(|e| e.path())
+                .filter(|p| wanted(p))
+                .collect(),
+            Err(e) => {
+                eprintln!(
+                    "pdbt-serve: artifact dir {} unreadable ({e}); booting cold",
+                    dir.display()
+                );
+                return scan;
+            }
+        };
+        paths.sort();
+        let mut candidates = Vec::new();
+        for path in paths {
+            let loaded = std::fs::read(&path)
+                .map_err(|e| format!("unreadable: {e}"))
+                .and_then(|bytes| {
+                    let opened = pdbt_artifact::open_salvage(&bytes)
+                        .map_err(|e| format!("rejected: {e}"))?;
+                    let version = ArtifactVersion::of_bytes(parse_generation(&path), &bytes)
+                        .map_err(|e| format!("rejected: {e}"))?;
+                    let fp = opened.artifact.fingerprint();
+                    match image {
+                        Some(want) if want != fp => {
+                            Err(format!("rejected: holds image {fp:016x}, not {want:016x}"))
+                        }
+                        _ => Ok((fp, version, (bytes, opened))),
+                    }
+                });
+            match loaded {
+                Ok(candidate) => candidates.push(candidate),
+                Err(why) => {
+                    eprintln!("pdbt-serve: artifact {} {why}", path.display());
+                    scan.rejected += 1;
+                }
+            }
+        }
+        let (winners, shadowed) = dedupe_newest(candidates);
+        if shadowed > 0 {
+            eprintln!(
+                "pdbt-serve: {shadowed} duplicate artifact(s) shadowed by newer generations in {}",
+                dir.display()
+            );
+            scan.rejected += shadowed;
+        }
+        for (fingerprint, version, (bytes, opened)) in winners {
+            for q in &opened.quarantined {
+                eprintln!(
+                    "pdbt-serve: artifact {fingerprint:016x}: section {} quarantined: {}",
+                    q.section, q.reason
+                );
+            }
+            scan.quarantined += opened.quarantined.len() as u64;
+            let state = pdbt_artifact::warm_state(
+                &opened,
+                self.rules.as_ref(),
                 self.cache_shards,
                 self.jobs,
-                image,
-            ))
-        }));
-        drop(map);
-        self.labels
-            .lock()
-            .expect("label map poisoned")
-            .entry(image)
-            .or_insert_with(|| label.to_string());
-        self.replicas
-            .lock()
-            .expect("replica map poisoned")
-            .entry(image)
-            .or_insert_with(|| ReplicaMeta {
-                label: label.to_string(),
-                program: program.clone(),
-                version: ArtifactVersion::default(),
-                sealed: None,
-                sealed_blocks: 0,
-                disk_generation: None,
-            });
-        state
+            );
+            let a = opened.artifact;
+            let label = if a.label.is_empty() {
+                format!("{fingerprint:016x}")
+            } else {
+                a.label
+            };
+            let ad = ArtifactAd {
+                fingerprint,
+                version,
+                blocks: a.blocks.len() as u64,
+                traces: a.traces.len() as u64,
+                bytes: bytes.len() as u64,
+                label: label.clone(),
+            };
+            let partition = Partition {
+                state: Arc::new(state),
+                label,
+                program: Arc::new(a.program),
+                // A salvaged file is not worth serving to `ART_PULL`:
+                // leave it unsealed so the first pull re-seals clean
+                // content from live state.
+                sealed: opened.quarantined.is_empty().then(|| (Arc::new(bytes), ad)),
+                disk_generation: Some(version.generation),
+            };
+            scan.partitions.push((fingerprint, partition));
+        }
+        scan
     }
 }
 
@@ -309,12 +424,11 @@ pub struct Server {
     queue: TaskQueue,
     ctx: Arc<ServerCtx>,
     flight_path: Option<PathBuf>,
-    replicate_interval: Option<Duration>,
 }
 
 impl Server {
-    /// Binds the listener (use port 0 for an ephemeral port) and builds
-    /// the worker queue.
+    /// Binds the listener (use port 0 for an ephemeral port), builds
+    /// the worker queue, and warm-boots from the artifact dir.
     ///
     /// # Errors
     ///
@@ -322,43 +436,33 @@ impl Server {
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let queue = TaskQueue::new(cfg.jobs);
-        let jobs = queue.jobs();
-        let scan = match &cfg.artifact_dir {
-            Some(dir) => load_artifacts(dir, cfg.rules.as_ref(), cfg.cache_shards, jobs),
-            None => BootScan::default(),
-        };
-        let ctx = Arc::new(ServerCtx {
-            states: Mutex::new(scan.states),
+        let mut ctx = ServerCtx {
+            partitions: Mutex::new(HashMap::new()),
             workloads: Mutex::new(HashMap::new()),
             rules: cfg.rules,
             cache_shards: cfg.cache_shards,
             default_deadline_ms: cfg.default_deadline_ms,
-            jobs,
+            jobs: queue.jobs(),
             backend: cfg.backend,
-            labels: Mutex::new(scan.labels),
             started: Instant::now(),
             stats_seq: AtomicU64::new(0),
             served: AtomicU64::new(0),
             active: AtomicU64::new(0),
-            artifacts: scan.boot,
-            replicas: Mutex::new(scan.replicas),
-            replication: Mutex::new(()),
+            artifacts: ArtifactTally::default(),
             fleet: pdbt_obs::FleetCounters::new(),
             reply_errors: AtomicU64::new(0),
-            peers: cfg.peers,
             artifact_dir: cfg.artifact_dir,
-        });
-        // Boot pull: a follower is warm *before* `bind` returns, so
-        // its very first request already hits the replicated cache.
-        if !ctx.peers.is_empty() {
-            replicate_once(&ctx);
+        };
+        if let Some(dir) = &ctx.artifact_dir {
+            let scan = ctx.scan_artifacts(dir, None);
+            ctx.artifacts.record(&scan);
+            ctx.partitions = Mutex::new(scan.partitions.into_iter().collect());
         }
         Ok(Server {
             listener,
             queue,
-            ctx,
+            ctx: Arc::new(ctx),
             flight_path: cfg.flight_path,
-            replicate_interval: cfg.replicate_interval,
         })
     }
 
@@ -390,38 +494,7 @@ impl Server {
             queue,
             ctx,
             flight_path,
-            replicate_interval,
         } = self;
-        // The refresh tick: re-run the pull pass against every peer on
-        // a jittered period. Seeded from the listen port so a fleet's
-        // ticks are deterministic per node but decorrelated across
-        // nodes.
-        let stop = Arc::new(AtomicBool::new(false));
-        let ticker = match replicate_interval {
-            Some(interval) if !ctx.peers.is_empty() => {
-                let ctx = Arc::clone(&ctx);
-                let stop = Arc::clone(&stop);
-                let seed = listener.local_addr().map_or(0, |a| u64::from(a.port()));
-                Some(std::thread::spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    'tick: loop {
-                        let wait = interval.mul_f64(0.5 + rng.gen::<f64>());
-                        let deadline = Instant::now() + wait;
-                        while Instant::now() < deadline {
-                            if stop.load(Ordering::Relaxed) {
-                                break 'tick;
-                            }
-                            std::thread::sleep(Duration::from_millis(50));
-                        }
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        replicate_once(&ctx);
-                    }
-                }))
-            }
-            _ => None,
-        };
         let mut requests = 0u64;
         for conn in listener.incoming() {
             let mut stream = match conn {
@@ -454,9 +527,6 @@ impl Server {
                 }
                 op::ART_PULL => {
                     serve_pull(&ctx, &frame, &mut stream);
-                }
-                op::ART_PUSH => {
-                    serve_push(&ctx, &frame, &mut stream);
                 }
                 op::SHUTDOWN => {
                     let ack = Json::obj([
@@ -506,12 +576,6 @@ impl Server {
                 }
             }
         }
-        // Quiesce the replication tick before the final snapshot and
-        // write-back, so nothing mutates partitions underneath them.
-        stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = ticker {
-            let _ = handle.join();
-        }
         // Final snapshot before draining destroys nothing but after it
         // quiesces everything: dump the flight recorder so postmortems
         // (including ones prompted by panicked sessions) don't require
@@ -526,104 +590,53 @@ impl Server {
         // Drain write-back: partitions whose live cache outgrew their
         // on-disk artifact re-seal as the next generation, so warm
         // state compounds across restarts instead of evaporating.
-        if let Some(dir) = ctx.artifact_dir.clone() {
-            write_back(&ctx, &dir);
+        if let Some(dir) = &ctx.artifact_dir {
+            write_back(&ctx, dir);
         }
         let panicked = queue.drain();
         Ok(ServeSummary { requests, panicked })
     }
 }
 
-/// The PONG status payload: protocol version, queue occupancy, and the
-/// server-lifetime counters summed across guest-image partitions.
-fn status(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
-    let (mut probes, mut inserted, mut hits) = (0u64, 0u64, 0u64);
-    let (mut translate_calls, mut sessions, mut trace_hits) = (0u64, 0u64, 0u64);
-    let (mut cached_blocks, mut images) = (0usize, 0usize);
-    for state in ctx.states.lock().expect("state map poisoned").values() {
-        let snap = state.server().snapshot();
-        probes += snap.probes;
-        inserted += snap.inserted;
-        hits += snap.hits;
-        translate_calls += snap.translate_calls;
-        sessions += snap.sessions;
-        trace_hits += state.artifact().snapshot().trace_hits;
-        cached_blocks += state.cache().len();
-        images += 1;
-    }
-    let mut artifacts = ctx.artifacts.to_json();
-    if let Json::Obj(pairs) = &mut artifacts {
-        pairs.insert("trace_hits".to_string(), Json::from(trace_hits));
-    }
-    Json::obj([
-        ("version", Json::from(u64::from(proto::VERSION))),
-        ("jobs", Json::from(queue.jobs())),
-        ("outstanding", Json::from(queue.outstanding())),
-        ("faults_enabled", Json::from(pdbt_faults::ENABLED)),
-        ("images", Json::from(images)),
-        ("cached_blocks", Json::from(cached_blocks)),
-        ("artifacts", artifacts),
-        ("fleet", fleet_json(ctx)),
-        (
-            "server",
-            Json::obj([
-                ("probes", Json::from(probes)),
-                ("inserted", Json::from(inserted)),
-                ("hits", Json::from(hits)),
-                ("translate_calls", Json::from(translate_calls)),
-                ("sessions", Json::from(sessions)),
-                (
-                    "reply_errors",
-                    Json::from(ctx.reply_errors.load(Ordering::Relaxed)),
-                ),
-            ]),
-        ),
-    ])
+/// One pass over the partition table, shared by PING and STATS: the
+/// server-lifetime sums plus STATS's per-partition rows, in
+/// fingerprint order. The table lock is held only to clone out each
+/// partition's state `Arc` and label.
+#[derive(Default)]
+struct Fold {
+    server: ServerSnapshot,
+    trace_hits: u64,
+    cached_blocks: usize,
+    latency: LatencyHists,
+    flight: Vec<RequestSummary>,
+    rows: Vec<Json>,
 }
 
-/// The live-telemetry snapshot behind the `STATS` frame. Built inline
-/// by the accept loop: everything it reads is either atomic, behind a
-/// short-lived lock, or merged from per-worker histograms in index
-/// order, so a poll never waits on a running session.
-fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
-    let stats_seq = ctx.stats_seq.fetch_add(1, Ordering::Relaxed) + 1;
-    // Partitions sorted by fingerprint: deterministic payload order.
-    let mut states: Vec<(u64, Arc<SharedTranslationState>)> = ctx
-        .states
-        .lock()
-        .expect("state map poisoned")
+fn fold(ctx: &ServerCtx) -> Fold {
+    let mut parts: Vec<(u64, String, Arc<SharedTranslationState>)> = lock(&ctx.partitions)
         .iter()
-        .map(|(&fp, s)| (fp, Arc::clone(s)))
+        .map(|(&fp, p)| (fp, p.label.clone(), Arc::clone(&p.state)))
         .collect();
-    states.sort_by_key(|&(fp, _)| fp);
-    let labels = ctx.labels.lock().expect("label map poisoned").clone();
-
-    let (mut probes, mut inserted, mut hits) = (0u64, 0u64, 0u64);
-    let (mut translate_calls, mut sessions, mut trace_hits) = (0u64, 0u64, 0u64);
-    let mut compiled_blocks = 0u64;
-    let mut global = LatencyHists::default();
-    let mut flight: Vec<RequestSummary> = Vec::new();
-    let mut partitions = Vec::with_capacity(states.len());
-    for (fp, state) in &states {
+    parts.sort_by_key(|&(fp, ..)| fp);
+    let mut f = Fold::default();
+    for (fp, label, state) in parts {
         let snap = state.server().snapshot();
         let tele = state.telemetry().snapshot();
         let art = state.artifact().snapshot();
-        probes += snap.probes;
-        inserted += snap.inserted;
-        hits += snap.hits;
-        translate_calls += snap.translate_calls;
-        sessions += snap.sessions;
-        trace_hits += art.trace_hits;
-        compiled_blocks += snap.compiled_blocks;
-        global.merge(&tele.latency);
-        flight.extend(tele.flight);
-        partitions.push(Json::obj([
+        let cached_blocks = state.cache().len();
+        f.server.probes += snap.probes;
+        f.server.inserted += snap.inserted;
+        f.server.hits += snap.hits;
+        f.server.translate_calls += snap.translate_calls;
+        f.server.sessions += snap.sessions;
+        f.server.compiled_blocks += snap.compiled_blocks;
+        f.trace_hits += art.trace_hits;
+        f.cached_blocks += cached_blocks;
+        f.latency.merge(&tele.latency);
+        f.rows.push(Json::obj([
             ("partition", Json::str(format!("{fp:016x}"))),
-            (
-                "label",
-                Json::str(labels.get(fp).map(String::as_str).unwrap_or("?")),
-            ),
-            ("cached_blocks", Json::from(state.cache().len())),
+            ("label", Json::str(label)),
+            ("cached_blocks", Json::from(cached_blocks)),
             ("warm", Json::from(art.warm())),
             ("loaded_blocks", Json::from(art.loaded_blocks)),
             ("trace_hits", Json::from(art.trace_hits)),
@@ -643,17 +656,54 @@ fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
                 ]),
             ),
         ]));
+        f.flight.extend(tele.flight);
     }
+    f
+}
+
+/// The PONG status payload: protocol version, queue occupancy, and the
+/// server-lifetime counters summed across guest-image partitions.
+fn status(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
+    let f = fold(ctx);
+    Json::obj([
+        ("version", Json::from(u64::from(proto::VERSION))),
+        ("jobs", Json::from(queue.jobs())),
+        ("outstanding", Json::from(queue.outstanding())),
+        ("faults_enabled", Json::from(pdbt_faults::ENABLED)),
+        ("images", Json::from(f.rows.len())),
+        ("cached_blocks", Json::from(f.cached_blocks)),
+        ("artifacts", ctx.artifacts.to_json(f.trace_hits)),
+        ("fleet", fleet_json(ctx)),
+        (
+            "server",
+            Json::obj([
+                ("probes", Json::from(f.server.probes)),
+                ("inserted", Json::from(f.server.inserted)),
+                ("hits", Json::from(f.server.hits)),
+                ("translate_calls", Json::from(f.server.translate_calls)),
+                ("sessions", Json::from(f.server.sessions)),
+                (
+                    "reply_errors",
+                    Json::from(ctx.reply_errors.load(Ordering::Relaxed)),
+                ),
+            ]),
+        ),
+    ])
+}
+
+/// The live-telemetry snapshot behind the `STATS` frame. Built inline
+/// by the accept loop: everything it reads is either atomic, behind a
+/// short-lived lock, or merged from per-worker histograms in index
+/// order, so a poll never waits on a running session.
+fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
+    let stats_seq = ctx.stats_seq.fetch_add(1, Ordering::Relaxed) + 1;
+    let mut f = fold(ctx);
     // The merged flight tail reads chronologically across partitions.
-    flight.sort_by_key(|s| s.seq);
-    let tail_from = flight
+    f.flight.sort_by_key(|s| s.seq);
+    let tail_from = f
+        .flight
         .len()
         .saturating_sub(pdbt_obs::FlightRecorder::CAPACITY);
-    let hit_rate = if probes == 0 {
-        0.0
-    } else {
-        hits as f64 / probes as f64
-    };
     Json::obj([
         ("stats_seq", Json::from(stats_seq)),
         ("version", Json::from(u64::from(proto::VERSION))),
@@ -693,28 +743,22 @@ fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
         (
             "server",
             Json::obj([
-                ("probes", Json::from(probes)),
-                ("inserted", Json::from(inserted)),
-                ("hits", Json::from(hits)),
-                ("translate_calls", Json::from(translate_calls)),
-                ("sessions", Json::from(sessions)),
-                ("compiled_blocks", Json::from(compiled_blocks)),
-                ("hit_rate", Json::from(hit_rate)),
+                ("probes", Json::from(f.server.probes)),
+                ("inserted", Json::from(f.server.inserted)),
+                ("hits", Json::from(f.server.hits)),
+                ("translate_calls", Json::from(f.server.translate_calls)),
+                ("sessions", Json::from(f.server.sessions)),
+                ("compiled_blocks", Json::from(f.server.compiled_blocks)),
+                ("hit_rate", Json::from(f.server.hit_rate())),
             ]),
         ),
-        ("artifacts", {
-            let mut artifacts = ctx.artifacts.to_json();
-            if let Json::Obj(pairs) = &mut artifacts {
-                pairs.insert("trace_hits".to_string(), Json::from(trace_hits));
-            }
-            artifacts
-        }),
+        ("artifacts", ctx.artifacts.to_json(f.trace_hits)),
         ("fleet", fleet_json(ctx)),
-        ("latency", global.to_json()),
-        ("partitions", Json::Arr(partitions)),
+        ("latency", f.latency.to_json()),
+        ("partitions", Json::Arr(f.rows)),
         (
             "flight",
-            Json::arr(flight[tail_from..].iter().map(RequestSummary::to_json)),
+            Json::arr(f.flight[tail_from..].iter().map(RequestSummary::to_json)),
         ),
     ])
 }
@@ -792,94 +836,75 @@ fn respond_error(ctx: &ServerCtx, stream: &mut TcpStream, id: Option<u64>, msg: 
 fn fleet_json(ctx: &ServerCtx) -> Json {
     let f = ctx.fleet.snapshot();
     Json::obj([
-        ("pulled", Json::from(f.pulled)),
         ("pushed", Json::from(f.pushed)),
-        ("adopted", Json::from(f.adopted)),
-        ("rejected", Json::from(f.rejected)),
         ("written_back", Json::from(f.written_back)),
         ("bytes", Json::from(f.bytes)),
     ])
 }
 
-/// The current sealed bytes and version of one partition, re-sealing
-/// lazily when the live cache has outgrown the last seal. Every
-/// content change bumps the generation by one, so this node's
-/// advertised versions are monotone — the property the fleet's
-/// newest-wins convergence rests on. Returns `None` for a partition
-/// with nothing to advertise (empty cache, never sealed) or no
-/// recorded guest program.
+/// The current sealed bytes and advertisement of one partition,
+/// re-sealing when the live cache has outgrown the last seal. Every
+/// content change takes the next generation past both the last seal
+/// and the disk copy, so this node's versions are monotone. Returns
+/// `None` for an unknown partition or one with nothing to seal (empty
+/// cache, never sealed).
 ///
-/// Callers hold `ctx.replication`; the inner locks are taken in the
-/// house order (`states`, then `replicas`).
-fn seal_partition(ctx: &ServerCtx, fp: u64) -> Option<(Arc<Vec<u8>>, ArtifactVersion)> {
-    let state = {
-        let map = ctx.states.lock().expect("state map poisoned");
-        map.get(&fp).map(Arc::clone)
-    }?;
-    let live_blocks = state.cache().len();
-    let mut replicas = ctx.replicas.lock().expect("replica map poisoned");
-    let meta = replicas.get_mut(&fp)?;
-    if let Some(sealed) = &meta.sealed {
-        if meta.sealed_blocks == live_blocks {
-            return Some((Arc::clone(sealed), meta.version));
+/// Sealing runs outside the table lock on a cloned state `Arc`, so
+/// sessions keep resolving partitions meanwhile. Only the accept
+/// thread seals (`ART_LIST`/`ART_PULL`, then drain write-back after
+/// the loop ends), so two seals of one partition never race.
+fn seal_partition(ctx: &ServerCtx, fp: u64) -> Option<(Arc<Vec<u8>>, ArtifactAd)> {
+    let (state, label, program, generation) = {
+        let map = lock(&ctx.partitions);
+        let p = map.get(&fp)?;
+        let live_blocks = p.state.cache().len() as u64;
+        match &p.sealed {
+            Some((bytes, ad)) if ad.blocks == live_blocks => {
+                return Some((Arc::clone(bytes), ad.clone()));
+            }
+            None if live_blocks == 0 => return None,
+            _ => {}
         }
-    }
-    if live_blocks == 0 && meta.sealed.is_none() {
-        return None;
-    }
-    let generation = if meta.sealed.is_some() {
-        meta.version.generation + 1
-    } else {
-        // First seal: continue past whatever the disk holds (a
-        // quarantined boot artifact leaves `sealed` empty but the
-        // file's generation taken), else start at 0.
-        meta.disk_generation.map_or(0, |g| g + 1)
+        let last = p.sealed.as_ref().map(|(_, ad)| ad.version.generation);
+        let generation = last.max(p.disk_generation).map_or(0, |g| g + 1);
+        (
+            Arc::clone(&p.state),
+            p.label.clone(),
+            Arc::clone(&p.program),
+            generation,
+        )
     };
-    let bytes = seal_live(&meta.label, &meta.program, &state);
-    let version = ArtifactVersion::of_bytes(generation, &bytes)
-        .expect("a self-sealed artifact always parses");
-    let sealed = Arc::new(bytes);
-    meta.sealed = Some(Arc::clone(&sealed));
-    meta.sealed_blocks = live_blocks;
-    meta.version = version;
-    Some((sealed, version))
+    let blocks = state.cache().len() as u64;
+    let bytes = Arc::new(seal_live(&label, &program, &state));
+    let ad = ArtifactAd {
+        fingerprint: fp,
+        version: ArtifactVersion::of_bytes(generation, &bytes)
+            .expect("a self-sealed artifact always parses"),
+        blocks,
+        traces: state.library_len() as u64,
+        bytes: bytes.len() as u64,
+        label,
+    };
+    if let Some(p) = lock(&ctx.partitions).get_mut(&fp) {
+        p.sealed = Some((Arc::clone(&bytes), ad.clone()));
+    }
+    Some((bytes, ad))
+}
+
+/// Every partition fingerprint, sorted.
+fn fingerprints(ctx: &ServerCtx) -> Vec<u64> {
+    let mut fps: Vec<u64> = lock(&ctx.partitions).keys().copied().collect();
+    fps.sort_unstable();
+    fps
 }
 
 /// Builds the `ART_LIST` advertisement: one entry per sealable
 /// partition, in fingerprint order.
 fn advertise(ctx: &ServerCtx) -> Vec<ArtifactAd> {
-    let _plane = ctx.replication.lock().expect("replication lock poisoned");
-    let mut fps: Vec<u64> = {
-        let map = ctx.states.lock().expect("state map poisoned");
-        map.keys().copied().collect()
-    };
-    fps.sort_unstable();
-    let mut ads = Vec::new();
-    for fp in fps {
-        let Some((sealed, version)) = seal_partition(ctx, fp) else {
-            continue;
-        };
-        let (blocks, traces) = {
-            let map = ctx.states.lock().expect("state map poisoned");
-            map.get(&fp)
-                .map_or((0, 0), |s| (s.cache().len() as u64, s.library_len() as u64))
-        };
-        let label = {
-            let replicas = ctx.replicas.lock().expect("replica map poisoned");
-            replicas
-                .get(&fp)
-                .map_or_else(String::new, |m| m.label.clone())
-        };
-        ads.push(ArtifactAd {
-            fingerprint: fp,
-            version,
-            blocks,
-            traces,
-            bytes: sealed.len() as u64,
-            label,
-        });
-    }
-    ads
+    fingerprints(ctx)
+        .into_iter()
+        .filter_map(|fp| seal_partition(ctx, fp).map(|(_, ad)| ad))
+        .collect()
 }
 
 /// Serves an `ART_PULL`: header frame with the transfer envelope, then
@@ -899,11 +924,7 @@ fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
         respond_error(ctx, stream, None, "ART_PULL needs a hex `fingerprint`");
         return;
     };
-    let sealed = {
-        let _plane = ctx.replication.lock().expect("replication lock poisoned");
-        seal_partition(ctx, fp)
-    };
-    let Some((sealed, version)) = sealed else {
+    let Some((sealed, ad)) = seal_partition(ctx, fp) else {
         respond_error(
             ctx,
             stream,
@@ -912,22 +933,15 @@ fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
         );
         return;
     };
-    let label = {
-        let replicas = ctx.replicas.lock().expect("replica map poisoned");
-        replicas
-            .get(&fp)
-            .map_or_else(String::new, |m| m.label.clone())
-    };
     let header = Json::obj([
         ("fingerprint", Json::str(format!("{fp:016x}"))),
-        ("generation", Json::from(version.generation)),
+        ("generation", Json::from(ad.version.generation)),
         ("bytes", Json::from(sealed.len() as u64)),
         ("chunks", Json::from(chunk_count(sealed.len()) as u64)),
         (
             "crc32",
             Json::from(u64::from(pdbt_artifact::bytes::crc32(&sealed))),
         ),
-        ("label", Json::str(label)),
     ]);
     respond(ctx, stream, op::RESULT, &header);
     for chunk in sealed.chunks(CHUNK) {
@@ -940,307 +954,35 @@ fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
     ctx.fleet.record_bytes(sealed.len() as u64);
 }
 
-/// Serves an `ART_PUSH`: reassembles the offered artifact from its
-/// chunk frames, verifies the transfer envelope (size cap, chunk
-/// count, CRC), then runs the adoption decision. Always answers with
-/// a verdict frame; never panics on hostile input.
-fn serve_push(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
-    let Some(header) = frame.payload_str().ok().and_then(|s| Json::parse(s).ok()) else {
-        respond_error(ctx, stream, None, "ART_PUSH header is not valid JSON");
-        return;
-    };
-    let fp = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok());
-    let generation = header.get("generation").and_then(Json::as_u64);
-    let total = header.get("bytes").and_then(Json::as_u64);
-    let chunks = header.get("chunks").and_then(Json::as_u64);
-    let crc = header.get("crc32").and_then(Json::as_u64);
-    let (Some(fp), Some(generation), Some(total), Some(chunks), Some(crc)) =
-        (fp, generation, total, chunks, crc)
-    else {
-        respond_error(
-            ctx,
-            stream,
-            None,
-            "ART_PUSH header needs fingerprint/generation/bytes/chunks/crc32",
-        );
-        return;
-    };
-    if total > MAX_ARTIFACT || chunks != chunk_count(total as usize) as u64 {
-        ctx.fleet.record_rejected();
-        respond_error(
-            ctx,
-            stream,
-            None,
-            "ART_PUSH transfer envelope is implausible",
-        );
-        return;
-    }
-    let mut bytes = Vec::with_capacity(total as usize);
-    for _ in 0..chunks {
-        let data = match proto::read_frame(stream) {
-            Ok(f) if f.opcode == op::ART_DATA => f.payload,
-            Ok(f) => {
-                ctx.fleet.record_rejected();
-                respond_error(
-                    ctx,
-                    stream,
-                    None,
-                    &format!("expected ART_DATA continuation, got {:#04x}", f.opcode),
-                );
-                return;
-            }
-            Err(e) => {
-                ctx.fleet.record_rejected();
-                respond_error(ctx, stream, None, &format!("artifact stream died: {e}"));
-                return;
-            }
-        };
-        if data.len() > CHUNK || bytes.len() + data.len() > total as usize {
-            ctx.fleet.record_rejected();
-            respond_error(ctx, stream, None, "oversized artifact chunk");
-            return;
-        }
-        bytes.extend_from_slice(&data);
-    }
-    if bytes.len() as u64 != total || u64::from(pdbt_artifact::bytes::crc32(&bytes)) != crc {
-        ctx.fleet.record_rejected();
-        respond_error(ctx, stream, None, "artifact transfer fails its envelope");
-        return;
-    }
-    ctx.fleet.record_bytes(total);
-    let _plane = ctx.replication.lock().expect("replication lock poisoned");
-    let (adopted, reason, current) = adopt_artifact(ctx, &bytes, generation, fp);
-    let verdict = Json::obj([
-        ("fingerprint", Json::str(format!("{fp:016x}"))),
-        ("adopted", Json::from(adopted)),
-        ("reason", Json::str(reason)),
-        ("generation", Json::from(current)),
-    ]);
-    respond(ctx, stream, op::RESULT, &verdict);
-}
-
-/// The adoption decision for a CRC-verified transferred artifact: the
-/// wire trust boundary (opens cleanly, zero quarantined sections,
-/// content fingerprint matches the declared one), then the version
-/// order against the locally *materialized* version — the local side
-/// seals its live growth first, so the comparison is deterministic no
-/// matter when the offer arrives. On adoption the partition's shared
-/// state is rebuilt via `warm_state` semantics (no counter pollution:
-/// sessions on the new state report translate-free warm runs);
-/// in-flight sessions keep the old `Arc` and finish undisturbed.
-///
-/// Returns `(adopted, reason, local generation after the decision)`.
-/// Caller holds `ctx.replication`.
-fn adopt_artifact(
-    ctx: &ServerCtx,
-    bytes: &[u8],
-    generation: u64,
-    declared_fp: u64,
-) -> (bool, String, u64) {
-    let local_generation = |fp: u64| -> u64 {
-        let replicas = ctx.replicas.lock().expect("replica map poisoned");
-        replicas.get(&fp).map_or(0, |m| m.version.generation)
-    };
-    let opened = match pdbt_artifact::open_salvage(bytes) {
-        Ok(o) => o,
-        Err(e) => {
-            ctx.fleet.record_rejected();
-            return (
-                false,
-                format!("artifact rejected: {e}"),
-                local_generation(declared_fp),
-            );
-        }
-    };
-    if !opened.quarantined.is_empty() {
-        // Counted where disk-scan damage already shows up, and the
-        // artifact is refused wholesale: a partial copy never
-        // replaces a healthy partition — the peer can re-pull.
-        ctx.artifacts
-            .sections_quarantined
-            .fetch_add(opened.quarantined.len() as u64, Ordering::Relaxed);
-        ctx.fleet.record_rejected();
-        return (
-            false,
-            format!(
-                "{} section(s) quarantined in transfer",
-                opened.quarantined.len()
-            ),
-            local_generation(declared_fp),
-        );
-    }
-    let fp = opened.artifact.fingerprint();
-    if fp != declared_fp {
-        ctx.fleet.record_rejected();
-        return (
-            false,
-            format!("content fingerprint {fp:016x} does not match the declared {declared_fp:016x}"),
-            local_generation(declared_fp),
-        );
-    }
-    let incoming =
-        ArtifactVersion::of_bytes(generation, bytes).expect("an artifact that opened still parses");
-    // Materialize the local version before comparing: live growth is
-    // sealed (and its generation bumped) first, so an offer can never
-    // overwrite translations the incoming artifact lacks.
-    let local = seal_partition(ctx, fp).map(|(_, v)| v);
-    if let Some(held) = local {
-        if held >= incoming {
-            ctx.fleet.record_rejected();
-            return (
-                false,
-                format!(
-                    "stale: local generation {} is newer or equal",
-                    held.generation
-                ),
-                held.generation,
-            );
-        }
-    }
-    let state = pdbt_artifact::warm_state(&opened, ctx.rules.as_ref(), ctx.cache_shards, ctx.jobs);
-    let label = if opened.artifact.label.is_empty() {
-        format!("{fp:016x}")
-    } else {
-        opened.artifact.label.clone()
-    };
-    let sealed = Arc::new(bytes.to_vec());
-    // Persist the adopted bytes so a restart boots warm from disk; a
-    // write failure demotes this to memory-only adoption (the drain
-    // write-back will retry).
-    let prior_disk = {
-        let replicas = ctx.replicas.lock().expect("replica map poisoned");
-        replicas.get(&fp).and_then(|m| m.disk_generation)
-    };
-    let disk_generation = match &ctx.artifact_dir {
-        Some(dir) => {
-            let path = dir.join(artifact_file_name(fp, generation));
-            match std::fs::write(&path, sealed.as_slice()) {
-                Ok(()) => Some(generation),
-                Err(e) => {
-                    eprintln!(
-                        "pdbt-serve: persisting adopted artifact {} failed: {e}",
-                        path.display()
-                    );
-                    prior_disk
-                }
-            }
-        }
-        None => prior_disk,
-    };
-    let meta = ReplicaMeta {
-        label: label.clone(),
-        program: opened.artifact.program.clone(),
-        version: incoming,
-        sealed: Some(sealed),
-        sealed_blocks: opened.artifact.blocks.len(),
-        disk_generation,
-    };
-    ctx.states
-        .lock()
-        .expect("state map poisoned")
-        .insert(fp, Arc::new(state));
-    ctx.labels
-        .lock()
-        .expect("label map poisoned")
-        .insert(fp, label);
-    ctx.replicas
-        .lock()
-        .expect("replica map poisoned")
-        .insert(fp, meta);
-    ctx.fleet.record_adopted();
-    (true, "adopted".to_string(), generation)
-}
-
-/// One replication pass: ask every peer for its advertisements, pull
-/// whatever is missing here or newer than what this node holds, and
-/// run each pull through the adoption decision. Peer failures are
-/// logged and skipped — replication is opportunistic, never fatal.
-fn replicate_once(ctx: &ServerCtx) {
-    for peer in &ctx.peers {
-        let ads = match crate::fleet::list_artifacts(peer.as_str(), FLEET_TIMEOUT) {
-            Ok(ads) => ads,
-            Err(e) => {
-                eprintln!("pdbt-serve: peer {peer} unreachable: {e}");
-                continue;
-            }
-        };
-        for ad in ads {
-            let worth_pulling = {
-                let _plane = ctx.replication.lock().expect("replication lock poisoned");
-                seal_partition(ctx, ad.fingerprint).is_none_or(|(_, held)| held < ad.version)
-            };
-            if !worth_pulling {
-                continue;
-            }
-            let pulled =
-                match crate::fleet::pull_artifact(peer.as_str(), ad.fingerprint, FLEET_TIMEOUT) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        ctx.fleet.record_rejected();
-                        eprintln!(
-                            "pdbt-serve: pull of {:016x} from {peer} failed: {e}",
-                            ad.fingerprint
-                        );
-                        continue;
-                    }
-                };
-            ctx.fleet.record_pulled();
-            ctx.fleet.record_bytes(pulled.bytes.len() as u64);
-            let _plane = ctx.replication.lock().expect("replication lock poisoned");
-            let (adopted, reason, _) =
-                adopt_artifact(ctx, &pulled.bytes, pulled.generation, ad.fingerprint);
-            if !adopted {
-                eprintln!(
-                    "pdbt-serve: pulled artifact {:016x} from {peer} not adopted: {reason}",
-                    ad.fingerprint
-                );
-            }
-        }
-    }
-}
-
 /// Drain write-back: every partition whose current seal has moved past
 /// what the artifact dir holds is written out under its generation
-/// file name. Runs after the queue quiesced, so the seals are final.
-fn write_back(ctx: &ServerCtx, dir: &std::path::Path) {
-    let _plane = ctx.replication.lock().expect("replication lock poisoned");
-    let mut fps: Vec<u64> = {
-        let map = ctx.states.lock().expect("state map poisoned");
-        map.keys().copied().collect()
-    };
-    fps.sort_unstable();
-    for fp in fps {
-        let Some((sealed, version)) = seal_partition(ctx, fp) else {
+/// file name (atomically, see [`write_artifact`]). Runs after the
+/// queue quiesced, so the seals are final.
+fn write_back(ctx: &ServerCtx, dir: &Path) {
+    for fp in fingerprints(ctx) {
+        let Some((sealed, ad)) = seal_partition(ctx, fp) else {
             continue;
         };
-        let stale = {
-            let replicas = ctx.replicas.lock().expect("replica map poisoned");
-            replicas
-                .get(&fp)
-                .is_none_or(|m| m.disk_generation.is_none_or(|g| version.generation > g))
-        };
-        if !stale {
+        let generation = ad.version.generation;
+        let on_disk = lock(&ctx.partitions)
+            .get(&fp)
+            .and_then(|p| p.disk_generation);
+        if on_disk.is_some_and(|g| generation <= g) {
             continue;
         }
-        let path = dir.join(artifact_file_name(fp, version.generation));
-        match std::fs::write(&path, sealed.as_slice()) {
-            Ok(()) => {
+        match write_artifact(dir, fp, generation, &sealed) {
+            Ok(_) => {
                 ctx.fleet.record_written_back();
                 ctx.fleet.record_bytes(sealed.len() as u64);
-                if let Some(m) = ctx
-                    .replicas
-                    .lock()
-                    .expect("replica map poisoned")
-                    .get_mut(&fp)
-                {
-                    m.disk_generation = Some(version.generation);
+                if let Some(p) = lock(&ctx.partitions).get_mut(&fp) {
+                    p.disk_generation = Some(generation);
                 }
             }
             Err(e) => {
-                eprintln!("pdbt-serve: write-back to {} failed: {e}", path.display());
+                eprintln!(
+                    "pdbt-serve: write-back of {fp:016x} to {} failed: {e}",
+                    dir.display()
+                );
             }
         }
     }
@@ -1250,11 +992,11 @@ fn write_back(ctx: &ServerCtx, dir: &std::path::Path) {
 /// inline assembly listing.
 enum Guest {
     Workload(Arc<Workload>),
-    Inline(pdbt_isa_arm::Program),
+    Inline(Program),
 }
 
 impl Guest {
-    fn program(&self) -> &pdbt_isa_arm::Program {
+    fn program(&self) -> &Program {
         match self {
             Guest::Workload(w) => &w.pair.guest.program,
             Guest::Inline(p) => p,
@@ -1266,135 +1008,11 @@ impl Guest {
 /// words) to pick its translation-state partition. This value is now
 /// *persisted* — sealed into PDBA artifacts and matched against them at
 /// boot — so it must be stable across processes, platforms, and Rust
-/// releases; [`pdbt_isa_arm::Program::fingerprint`] (seeded FNV-1a with
+/// releases; [`Program::fingerprint`] (seeded FNV-1a with
 /// a splitmix64 finalizer) is, where the `DefaultHasher` previously
 /// used here explicitly is not.
-fn image_fingerprint(prog: &pdbt_isa_arm::Program) -> u64 {
+fn image_fingerprint(prog: &Program) -> u64 {
     prog.fingerprint()
-}
-
-/// What the bind-time artifact scan produced.
-#[derive(Debug, Default)]
-struct BootScan {
-    states: HashMap<u64, Arc<SharedTranslationState>>,
-    labels: HashMap<u64, String>,
-    replicas: HashMap<u64, ReplicaMeta>,
-    boot: ArtifactBoot,
-}
-
-/// The bind-time artifact scan: every `*.pdba` file in `dir` (sorted by
-/// name for deterministic scan order) is opened in salvage mode; the
-/// survivors are deduplicated by guest-image fingerprint keeping the
-/// *newest* [`ArtifactVersion`] (file-name generation, section CRCs as
-/// the tie-break — never scan order), and each winner pre-creates its
-/// image's translation-state partition. Shadowed duplicates are
-/// counted as rejects, not silently dropped.
-///
-/// Failure is never fatal and never aborts the scan: an unreadable or
-/// rejected artifact is counted and logged, and that image simply boots
-/// cold when its first request arrives. When an artifact carries no
-/// ruleset — or its RULE section was quarantined — the partition falls
-/// back to the server's own rules, exactly as a cold partition would.
-fn load_artifacts(
-    dir: &std::path::Path,
-    rules: Option<&RuleSet>,
-    cache_shards: usize,
-    slots: usize,
-) -> BootScan {
-    let mut scan = BootScan::default();
-    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "pdba"))
-            .collect(),
-        Err(e) => {
-            eprintln!(
-                "pdbt-serve: artifact dir {} unreadable ({e}); booting cold",
-                dir.display()
-            );
-            return scan;
-        }
-    };
-    paths.sort();
-    let mut candidates = Vec::new();
-    for path in paths {
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("pdbt-serve: artifact {} unreadable: {e}", path.display());
-                scan.boot.rejected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        let opened = match pdbt_artifact::open_salvage(&bytes) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("pdbt-serve: artifact {} rejected: {e}", path.display());
-                scan.boot.rejected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        let generation = parse_generation(&path);
-        let version = match ArtifactVersion::of_bytes(generation, &bytes) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("pdbt-serve: artifact {} rejected: {e}", path.display());
-                scan.boot.rejected.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        let fingerprint = opened.artifact.fingerprint();
-        candidates.push((fingerprint, version, (path, bytes, opened)));
-    }
-    let (winners, shadowed) = dedupe_newest(candidates);
-    if shadowed > 0 {
-        eprintln!(
-            "pdbt-serve: {shadowed} duplicate artifact(s) shadowed by newer generations in {}",
-            dir.display()
-        );
-        scan.boot.rejected.fetch_add(shadowed, Ordering::Relaxed);
-    }
-    for (fingerprint, version, (path, bytes, opened)) in winners {
-        for q in &opened.quarantined {
-            eprintln!(
-                "pdbt-serve: artifact {}: section {} quarantined: {}",
-                path.display(),
-                q.section,
-                q.reason
-            );
-        }
-        scan.boot
-            .sections_quarantined
-            .fetch_add(opened.quarantined.len() as u64, Ordering::Relaxed);
-        let label = if opened.artifact.label.is_empty() {
-            path.file_stem().map_or_else(
-                || "artifact".to_string(),
-                |s| s.to_string_lossy().into_owned(),
-            )
-        } else {
-            opened.artifact.label.clone()
-        };
-        let state = pdbt_artifact::warm_state(&opened, rules, cache_shards, slots);
-        scan.replicas.insert(
-            fingerprint,
-            ReplicaMeta {
-                label: label.clone(),
-                program: opened.artifact.program.clone(),
-                version,
-                // A salvaged (partially quarantined) file is not worth
-                // advertising: leave `sealed` empty so the first peer
-                // interaction re-seals clean content from live state.
-                sealed: opened.quarantined.is_empty().then(|| Arc::new(bytes)),
-                sealed_blocks: opened.artifact.blocks.len(),
-                disk_generation: Some(version.generation),
-            },
-        );
-        scan.states.insert(fingerprint, Arc::new(state));
-        scan.labels.insert(fingerprint, label);
-        scan.boot.loaded.fetch_add(1, Ordering::Relaxed);
-    }
-    scan
 }
 
 /// Resolves the request's guest program, base run setup, and label.
@@ -1412,7 +1030,7 @@ fn resolve_guest(ctx: &ServerCtx, req: &Json) -> Result<(Guest, RunSetup, String
         };
         let key = (name.to_string(), scale_name.to_string());
         let w = {
-            let mut map = ctx.workloads.lock().expect("workload cache poisoned");
+            let mut map = lock(&ctx.workloads);
             Arc::clone(
                 map.entry(key)
                     .or_insert_with(|| Arc::new(build(bench, scale))),
@@ -1698,5 +1316,113 @@ mod tests {
         assert_eq!(resp.get("outcome").and_then(Json::as_str), Some("deadline"));
         client::shutdown(addr, t).expect("shutdown");
         handle.join().unwrap();
+    }
+
+    fn guest_program() -> Program {
+        Program::new(0x1000, pdbt_isa_arm::parse_listing(GUEST).unwrap())
+    }
+
+    fn artifact_field(pong: &Json, name: &str) -> Option<u64> {
+        pong.get("artifacts")
+            .and_then(|a| a.get(name))
+            .and_then(Json::as_u64)
+    }
+
+    #[test]
+    fn poisoned_locks_are_recovered_and_the_server_keeps_serving() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let ctx = Arc::clone(&server.ctx);
+        let prog = guest_program();
+        let image = image_fingerprint(&prog);
+        let before = ctx.state_for(image, "inline", &prog);
+
+        // A thread that panics while holding a lock poisons it.
+        let c = Arc::clone(&ctx);
+        std::thread::spawn(move || {
+            let _held = c.partitions.lock().unwrap();
+            panic!("poisoning the partition table");
+        })
+        .join()
+        .expect_err("the holder panicked");
+        let c = Arc::clone(&ctx);
+        std::thread::spawn(move || {
+            let _held = c.workloads.lock().unwrap();
+            panic!("poisoning the workload cache");
+        })
+        .join()
+        .expect_err("the holder panicked");
+        assert!(ctx.partitions.is_poisoned() && ctx.workloads.is_poisoned());
+
+        // The partition table still resolves, PING and STATS still
+        // answer, and both SUBMIT paths (inline listing, memoized
+        // workload) still complete.
+        let after = ctx.state_for(image, "inline", &prog);
+        assert!(Arc::ptr_eq(&before, &after), "partition was lost");
+        let pong = status(&ctx, &server.queue);
+        assert_eq!(pong.get("images").and_then(Json::as_u64), Some(1));
+        let snap = stats(&ctx, &server.queue);
+        assert_eq!(
+            snap.get("partitions")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(1)
+        );
+
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || server.serve().expect("serve"));
+        let t = Duration::from_secs(60);
+        let req = Json::obj([("program", Json::str(GUEST))]);
+        let resp = client::submit(addr, &req, t).expect("inline submit");
+        assert_eq!(output_of(&resp), [42]);
+        let req = Json::obj([("workload", Json::str("mcf")), ("scale", Json::str("tiny"))]);
+        let resp = client::submit(addr, &req, t).expect("workload submit");
+        assert_eq!(
+            resp.get("outcome").and_then(Json::as_str),
+            Some("completed")
+        );
+        client::shutdown(addr, t).expect("shutdown");
+        assert_eq!(handle.join().unwrap().panicked, 0);
+    }
+
+    #[test]
+    fn partial_temp_files_are_ignored_by_boot_scan_and_first_sight() {
+        // What an interrupted `write_artifact` leaves behind: a prefix
+        // of a sealed artifact under a temporary (non-`.pdba`) name.
+        let prog = guest_program();
+        let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+        let artifact =
+            pdbt_artifact::compile(&prog, None, &setup, EngineConfig::default(), "inline-guest")
+                .expect("compile");
+        let bytes = pdbt_artifact::seal(&artifact);
+        let name = pdbt_fleet::artifact_file_name(prog.fingerprint(), 0);
+        let dir =
+            std::env::temp_dir().join(format!("pdbt-serve-partial-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("{name}.1.tmp")), &bytes[..bytes.len() / 2]).unwrap();
+
+        let (addr, handle) = spawn_server(ServeConfig {
+            artifact_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let t = Duration::from_secs(30);
+        let pong = client::ping(addr, t).expect("ping");
+        assert_eq!(pong.get("images").and_then(Json::as_u64), Some(0));
+        assert_eq!(artifact_field(&pong, "rejected"), Some(0));
+
+        // First sight of the image: the lookup skips the temp file too,
+        // so the image boots cold without a reject.
+        let req = Json::obj([("program", Json::str(GUEST))]);
+        let resp = client::submit(addr, &req, t).expect("submit");
+        assert_eq!(output_of(&resp), [42]);
+        let pong = client::ping(addr, t).expect("ping");
+        assert_eq!(artifact_field(&pong, "loaded"), Some(0));
+        assert_eq!(artifact_field(&pong, "rejected"), Some(0));
+        let server = pong.get("server").expect("server section");
+        assert!(server.get("translate_calls").and_then(Json::as_u64) > Some(0));
+
+        client::shutdown(addr, t).expect("shutdown");
+        handle.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

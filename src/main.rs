@@ -13,8 +13,8 @@
 //! pdbt trace  prog.s [--rules rules.txt] [--addr HEX]
 //! pdbt bench  [--scale tiny|full] [BENCH]
 //! pdbt serve  [--addr HOST:PORT] [--rules rules.txt] [--jobs N] [--deadline-ms N]
-//!             [--peer ADDR]... [--replicate-interval SECS]
-//! pdbt sync   PEER [--timeout-s N] -o DIR
+//!             [--artifact-dir DIR]
+//! pdbt sync   ADDR [--timeout-s N] -o DIR
 //! pdbt submit [prog.s] [--addr HOST:PORT] [--workload BENCH --scale tiny|full]
 //!             [--max-guest N] [--deadline-ms N] [--faults SPEC] [--no-delegation]
 //!             [--timeout-s N] [--report-json FILE] [--ping] [--shutdown]
@@ -23,13 +23,14 @@
 //! `serve` starts the multi-session translation daemon: every submitted
 //! run borrows one shared ruleset and warm code cache (see
 //! `pdbt_serve`), so repeated guests skip re-translation while each
-//! request still gets its own isolated metrics/report. `--peer ADDR`
-//! (repeatable) joins the replication plane: the daemon pulls missing
-//! or newer sealed artifacts from each peer at boot and, with
-//! `--replicate-interval SECS`, on a jittered refresh tick; on drain
-//! it writes grown partitions back to `--artifact-dir` as the next
-//! generation. `sync` mirrors a running daemon's sealed artifacts
-//! into a directory usable as another daemon's `--artifact-dir`. `submit` sends
+//! request still gets its own isolated metrics/report. With
+//! `--artifact-dir DIR` the daemon warm-boots from the sealed artifacts
+//! in `DIR`, looks there again the first time it sees any other guest
+//! image, and on drain writes grown partitions back as the next
+//! generation. `sync` mirrors a running daemon's sealed artifacts into
+//! a directory: point a follower's `--artifact-dir` at it, before or
+//! after the follower starts, and its first request for a synced image
+//! translates nothing. `submit` sends
 //! one request — either a program file or a named synthetic `--workload`
 //! — prints the guest output, and exits non-zero unless the outcome is
 //! `completed`; `--ping` probes server status and `--shutdown` drains
@@ -70,6 +71,9 @@
 //! Guest programs are assembly listings in the syntax the disassembler
 //! prints (see `pdbt_isa_arm::parse_listing`); they are loaded at
 //! `0x1000` with a data region at `0x100000` and a stack at `0x80000`.
+//!
+//! An unknown `--flag`, or a value flag without its value, is a usage
+//! error (exit status 2).
 
 use pdbt::arm::{parse_listing, Program};
 use pdbt::core::derive::{derive, derive_jobs, DeriveConfig};
@@ -96,13 +100,53 @@ fn usage() -> ExitCode {
          pdbt trace  PROG.s [--rules FILE] [--addr HEX]\n  \
          pdbt bench  [--scale tiny|full] [BENCH]\n  \
          pdbt compile WORKLOAD|PROG.s [--scale tiny|full] [--rules FILE | --baseline] [--no-param] [--jobs N] [--backend model|threaded] [--label NAME] -o FILE.pdba\n  \
-         pdbt serve  [--addr HOST:PORT] [--rules FILE] [--jobs N] [--backend model|threaded] [--deadline-ms N] [--flight-out FILE] [--artifact-dir DIR] [--peer ADDR]... [--replicate-interval SECS]\n  \
-         pdbt sync   PEER [--timeout-s N] -o DIR\n  \
+         pdbt serve  [--addr HOST:PORT] [--rules FILE] [--jobs N] [--backend model|threaded] [--deadline-ms N] [--flight-out FILE] [--artifact-dir DIR]\n  \
+         pdbt sync   ADDR [--timeout-s N] -o DIR\n  \
          pdbt submit [PROG.s] [--addr HOST:PORT] [--workload BENCH --scale tiny|full] [--max-guest N] [--deadline-ms N] [--faults SPEC] [--no-delegation] [--timeout-s N] [--report-json FILE] [--ping] [--shutdown] [--stats]\n  \
          pdbt loadgen [--addr HOST:PORT] [--sessions N] [--requests N] [--hot N] [--tail N] [--seed N] [--poll-ms N] [--timeout-s N] [--out FILE]"
     );
     ExitCode::from(2)
 }
+
+/// Flags that take a value (`--name VALUE`; `-o FILE` is `--out FILE`).
+const VALUE_FLAGS: &[&str] = &[
+    "scale",
+    "exclude",
+    "rules",
+    "addr",
+    "jobs",
+    "faults",
+    "report-json",
+    "trace-out",
+    "trace-threshold",
+    "backend",
+    "workload",
+    "max-guest",
+    "deadline-ms",
+    "timeout-s",
+    "flight-out",
+    "sessions",
+    "requests",
+    "hot",
+    "tail",
+    "seed",
+    "poll-ms",
+    "out",
+    "label",
+    "artifact-dir",
+];
+
+/// Flags that stand alone.
+const BOOL_FLAGS: &[&str] = &[
+    "baseline",
+    "no-chain",
+    "no-delegation",
+    "no-param",
+    "no-trace",
+    "ping",
+    "shutdown",
+    "stats",
+];
 
 /// Minimal flag parser: returns (positional args, flag values).
 struct Args {
@@ -111,24 +155,37 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String], value_flags: &[&str]) -> Args {
+    /// Splits `raw` into positionals and flags. An unknown `--flag`, or
+    /// a value flag followed by nothing or by another `--flag`, is an
+    /// error: silently ignoring it would run a different command than
+    /// the one asked for.
+    fn parse(raw: &[String]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut it = raw.iter().peekable();
+        let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if value_flags.contains(&name) {
-                    flags.push((name.to_string(), it.next().cloned()));
-                } else {
-                    flags.push((name.to_string(), None));
+            let name = match a.strip_prefix("--") {
+                Some(name) => name,
+                None if a == "-o" => "out",
+                None => {
+                    positional.push(a.clone());
+                    continue;
                 }
-            } else if a == "-o" {
-                flags.push(("out".to_string(), it.next().cloned()));
+            };
+            if BOOL_FLAGS.contains(&name) {
+                flags.push((name.to_string(), None));
+            } else if VALUE_FLAGS.contains(&name) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => {
+                        flags.push((name.to_string(), Some(v.clone())));
+                    }
+                    _ => return Err(format!("{a} needs a value")),
+                }
             } else {
-                positional.push(a.clone());
+                return Err(format!("unknown flag {a}"));
             }
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn has(&self, name: &str) -> bool {
@@ -140,15 +197,6 @@ impl Args {
             .iter()
             .find(|(n, _)| n == name)
             .and_then(|(_, v)| v.as_deref())
-    }
-
-    /// Every value of a repeatable flag, in order (e.g. `--peer A --peer B`).
-    fn values(&self, name: &str) -> Vec<&str> {
-        self.flags
-            .iter()
-            .filter(|(n, _)| n == name)
-            .filter_map(|(_, v)| v.as_deref())
-            .collect()
     }
 }
 
@@ -638,13 +686,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     cfg.default_deadline_ms = parse_u64_flag(args, "deadline-ms")?;
     cfg.flight_path = Some(args.value("flight-out").unwrap_or("flight.json").into());
     cfg.artifact_dir = args.value("artifact-dir").map(Into::into);
-    cfg.peers = args
-        .values("peer")
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    cfg.replicate_interval =
-        parse_u64_flag(args, "replicate-interval")?.map(std::time::Duration::from_secs);
     let server = pdbt_serve::Server::bind(addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = server.local_addr().map_err(|e| e.to_string())?;
     // Scripts scrape this line for the real port when binding to :0.
@@ -663,38 +704,23 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `pdbt sync PEER -o DIR`: mirror a running daemon's sealed artifacts
-/// into a directory. Each advertisement is pulled, validated against
-/// the wire trust boundary, and written as `{fingerprint}-g{N}.pdba`,
-/// so the directory is directly usable as another daemon's
-/// `--artifact-dir`.
+/// `pdbt sync ADDR -o DIR`: mirror a running daemon's sealed artifacts
+/// into a directory (see [`pdbt_serve::sync`]). Each file is validated
+/// and written atomically as `{fingerprint}-g{N}.pdba`, so the directory
+/// is directly usable as another daemon's `--artifact-dir` — including
+/// one that is already running.
 fn cmd_sync(args: &Args) -> Result<(), String> {
-    let peer = args.positional.first().ok_or("sync needs a PEER address")?;
+    let addr = args.positional.first().ok_or("sync needs a daemon ADDR")?;
     let dir = std::path::PathBuf::from(args.value("out").ok_or("sync needs -o DIR")?);
     let timeout = std::time::Duration::from_secs(parse_u64_flag(args, "timeout-s")?.unwrap_or(120));
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let ads = pdbt_serve::list_artifacts(peer.as_str(), timeout).map_err(|e| e.to_string())?;
-    if ads.is_empty() {
-        eprintln!("{peer}: no sealed artifacts to sync");
-        return Ok(());
-    }
-    for ad in &ads {
-        let pulled = pdbt_serve::pull_artifact(peer.as_str(), ad.fingerprint, timeout)
-            .map_err(|e| format!("pull {:016x}: {e}", ad.fingerprint))?;
-        pdbt::fleet::validate(&pulled.bytes, ad.fingerprint)
-            .map_err(|e| format!("pull {:016x}: {e}", ad.fingerprint))?;
-        let name = pdbt::fleet::artifact_file_name(pulled.fingerprint, pulled.generation);
-        let path = dir.join(&name);
-        std::fs::write(&path, &pulled.bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        eprintln!(
-            "synced {name}: {} ({} bytes)",
-            pulled.label,
-            pulled.bytes.len()
-        );
+    let written = pdbt_serve::sync(addr.as_str(), &dir, timeout).map_err(|e| e.to_string())?;
+    for (path, bytes) in &written {
+        eprintln!("synced {} ({bytes} bytes)", path.display());
     }
     eprintln!(
-        "synced {} artifacts from {peer} into {}",
-        ads.len(),
+        "synced {} artifacts from {addr} into {}",
+        written.len(),
         dir.display()
     );
     Ok(())
@@ -911,37 +937,13 @@ fn main() -> ExitCode {
     let Some(cmd) = raw.first().map(String::as_str) else {
         return usage();
     };
-    let args = Args::parse(
-        &raw[1..],
-        &[
-            "scale",
-            "exclude",
-            "rules",
-            "addr",
-            "jobs",
-            "faults",
-            "report-json",
-            "trace-out",
-            "trace-threshold",
-            "backend",
-            "workload",
-            "max-guest",
-            "deadline-ms",
-            "timeout-s",
-            "flight-out",
-            "sessions",
-            "requests",
-            "hot",
-            "tail",
-            "seed",
-            "poll-ms",
-            "out",
-            "label",
-            "artifact-dir",
-            "peer",
-            "replicate-interval",
-        ],
-    );
+    let args = match Args::parse(&raw[1..]) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     let result = match cmd {
         "train" => cmd_train(&args),
         "compile" => cmd_compile(&args),

@@ -1,19 +1,22 @@
-//! End-to-end lockdown of the fleet replication plane: a follower
-//! daemon that pulls its warm state from a peer must serve its *first*
-//! request with zero live translation work and a stripped report
-//! bit-identical to a sequential cold run — the paper's
-//! train-once-amortize-forever economics extended across machines.
-//! Drain write-back must re-seal a grown partition to the same
-//! byte-level fixpoint `pdbt compile` produces, and pushed artifacts
-//! must obey the generation order.
+//! End-to-end lockdown of the file-level fleet: a follower daemon
+//! serving a directory that `pdbt sync` mirrored from a warm leader
+//! must answer its *first* request with zero live translation work and
+//! a stripped report bit-identical to a sequential cold run — the
+//! paper's train-once-amortize-forever economics extended across
+//! machines. That holds whether the file was there at boot or was
+//! synced into a running follower's directory. Drain write-back must
+//! re-seal a grown partition to the same byte-level fixpoint
+//! `pdbt compile` produces, and a directory scan must load the newest
+//! generation and count the rest.
 
 use pdbt::artifact::{open_salvage, seal, warm_state};
 use pdbt::fleet::artifact_file_name;
 use pdbt::obs::json::Json;
 use pdbt::runtime::{Engine, EngineConfig, Report};
 use pdbt::workloads::{build, Benchmark, Scale};
-use pdbt_serve::{ping, push_artifact, shutdown, submit, ServeConfig, ServeSummary, Server};
+use pdbt_serve::{ping, shutdown, submit, sync, ServeConfig, ServeSummary, Server};
 use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,7 +44,7 @@ fn oracle_run() -> Report {
 /// `tests/artifact.rs`): `server` (shared-state counters), `pool`
 /// (work-stealing schedule, which shifts when warm tasks complete
 /// instantly), and the wall-clock histograms. Everything else must be
-/// bit-identical between a replicated warm session and a cold run.
+/// bit-identical between a synced warm session and a cold run.
 fn stripped(report: &Json) -> String {
     let mut doc = report.clone();
     if let Json::Obj(top) = &mut doc {
@@ -55,6 +58,22 @@ fn stripped(report: &Json) -> String {
         }
     }
     doc.to_string()
+}
+
+/// A fresh, empty scratch directory for one test.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pdbt-fleet-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn serve_dir(dir: &Path) -> (SocketAddr, std::thread::JoinHandle<ServeSummary>) {
+    spawn_server(ServeConfig {
+        jobs: 1,
+        artifact_dir: Some(dir.to_path_buf()),
+        ..ServeConfig::default()
+    })
 }
 
 fn mcf_request(id: u64) -> Json {
@@ -72,6 +91,13 @@ fn fleet_field(pong: &Json, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("fleet.{name} missing in {pong}"))
 }
 
+fn artifact_field(pong: &Json, name: &str) -> u64 {
+    pong.get("artifacts")
+        .and_then(|a| a.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("artifacts.{name} missing in {pong}"))
+}
+
 fn server_field(pong: &Json, name: &str) -> u64 {
     pong.get("server")
         .and_then(|s| s.get(name))
@@ -79,10 +105,10 @@ fn server_field(pong: &Json, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("server.{name} missing in {pong}"))
 }
 
-/// The capstone: warm a leader with one run, boot a follower with
-/// `--peer leader`, and lock down that the follower's *first* request
-/// does zero live translation and reports bit-identically to a
-/// sequential cold run.
+/// The capstone: warm a leader with one run, `sync` its artifacts to a
+/// mirror directory, boot a follower on the mirror, and lock down that
+/// the follower's *first* request does zero live translation and
+/// reports bit-identically to a sequential cold run.
 #[test]
 fn follower_first_request_is_translate_free_and_bit_identical() {
     let oracle = oracle_run();
@@ -100,19 +126,22 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
         Some("completed")
     );
 
-    // `bind` runs the boot pull before returning, so the follower is
-    // warm before it accepts its first connection.
-    let (follower, follower_h) = spawn_server(ServeConfig {
-        jobs: 2,
-        peers: vec![leader.to_string()],
-        ..ServeConfig::default()
-    });
+    let mirror = scratch_dir("mirror");
+    let written = sync(leader, &mirror, T).expect("sync");
+    let fp = build(Benchmark::Mcf, Scale::tiny())
+        .pair
+        .guest
+        .program
+        .fingerprint();
+    assert_eq!(written.len(), 1);
+    assert_eq!(written[0].0, mirror.join(artifact_file_name(fp, 0)));
+
+    // The bind-time scan loads the mirror before the first connection.
+    let (follower, follower_h) = serve_dir(&mirror);
     let pong = ping(follower, T).expect("follower ping");
     assert_eq!(pong.get("images").and_then(Json::as_u64), Some(1));
-    assert_eq!(fleet_field(&pong, "pulled"), 1);
-    assert_eq!(fleet_field(&pong, "adopted"), 1);
-    assert_eq!(fleet_field(&pong, "rejected"), 0);
-    assert!(fleet_field(&pong, "bytes") > 0);
+    assert_eq!(artifact_field(&pong, "loaded"), 1);
+    assert_eq!(artifact_field(&pong, "rejected"), 0);
 
     let first = submit(follower, &mcf_request(2), T).expect("follower first request");
     assert_eq!(
@@ -125,8 +154,8 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
         "the follower's first request diverged from the sequential cold oracle"
     );
 
-    // Zero live translation on the follower: every block came over the
-    // wire, every probe was a warm hit.
+    // Zero live translation on the follower: every block came from the
+    // synced file, every probe was a warm hit.
     let pong = ping(follower, T).expect("follower ping");
     assert_eq!(server_field(&pong, "sessions"), 1);
     assert_eq!(server_field(&pong, "translate_calls"), 0);
@@ -137,11 +166,15 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
     // The leader counted the serve side of the transfer.
     let pong = ping(leader, T).expect("leader ping");
     assert_eq!(fleet_field(&pong, "pushed"), 1);
+    assert_eq!(fleet_field(&pong, "bytes"), written[0].1 as u64);
 
     shutdown(follower, T).expect("follower shutdown");
     shutdown(leader, T).expect("leader shutdown");
     assert_eq!(follower_h.join().unwrap().panicked, 0);
     assert_eq!(leader_h.join().unwrap().panicked, 0);
+    // Nothing grew on the follower, so drain wrote nothing back.
+    assert_eq!(std::fs::read_dir(&mirror).unwrap().count(), 1);
+    let _ = std::fs::remove_dir_all(&mirror);
 }
 
 /// Drain write-back: a partition grown live (no artifact on disk) is
@@ -151,15 +184,8 @@ fn follower_first_request_is_translate_free_and_bit_identical() {
 /// means.
 #[test]
 fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
-    let dir = std::env::temp_dir().join(format!("pdbt-fleet-wb-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let (addr, handle) = spawn_server(ServeConfig {
-        jobs: 1,
-        artifact_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    });
+    let dir = scratch_dir("wb");
+    let (addr, handle) = serve_dir(&dir);
     let resp = submit(addr, &mcf_request(1), T).expect("submit");
     assert_eq!(
         resp.get("outcome").and_then(Json::as_str),
@@ -197,14 +223,11 @@ fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// ART_PUSH obeys the generation order: a fresh offer is adopted (and
-/// persisted when an artifact dir is configured), a stale or equal
-/// re-offer is refused and counted, and the adopted partition serves
-/// its first request translate-free.
-#[test]
-fn pushed_artifacts_respect_generation_order_and_serve_warm() {
+/// The mcf/tiny artifact, sealed as a full copy and as a degraded one
+/// missing half its blocks (same image, different content).
+fn mcf_artifacts() -> (u64, Vec<u8>, Vec<u8>) {
     let w = build(Benchmark::Mcf, Scale::tiny());
-    let artifact = pdbt::artifact::compile(
+    let full = pdbt::artifact::compile(
         &w.pair.guest.program,
         None,
         &w.setup(),
@@ -212,108 +235,109 @@ fn pushed_artifacts_respect_generation_order_and_serve_warm() {
         "mcf/tiny",
     )
     .expect("compile");
-    let bytes = seal(&artifact);
-    let fp = artifact.fingerprint();
-
-    let dir = std::env::temp_dir().join(format!("pdbt-fleet-push-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let (addr, handle) = spawn_server(ServeConfig {
-        jobs: 1,
-        artifact_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    });
-
-    // Fresh offer at generation 5: adopted and persisted.
-    let verdict = push_artifact(addr, fp, 5, "mcf/tiny", &bytes, T).expect("push");
-    assert_eq!(verdict.get("adopted"), Some(&Json::from(true)), "{verdict}");
-    assert_eq!(verdict.get("generation").and_then(Json::as_u64), Some(5));
-    assert!(
-        dir.join(artifact_file_name(fp, 5)).exists(),
-        "adopted artifact was not persisted"
-    );
-
-    // A stale offer (lower generation) is refused…
-    let verdict = push_artifact(addr, fp, 3, "mcf/tiny", &bytes, T).expect("stale push");
-    assert_eq!(
-        verdict.get("adopted"),
-        Some(&Json::from(false)),
-        "{verdict}"
-    );
-    assert_eq!(verdict.get("generation").and_then(Json::as_u64), Some(5));
-
-    // …and so is an equal one (same generation, same section CRCs).
-    let verdict = push_artifact(addr, fp, 5, "mcf/tiny", &bytes, T).expect("equal push");
-    assert_eq!(
-        verdict.get("adopted"),
-        Some(&Json::from(false)),
-        "{verdict}"
-    );
-
-    let pong = ping(addr, T).expect("ping");
-    assert_eq!(fleet_field(&pong, "adopted"), 1);
-    assert_eq!(fleet_field(&pong, "rejected"), 2);
-
-    // The pushed partition answers its first request translate-free.
-    let resp = submit(addr, &mcf_request(1), T).expect("submit");
-    assert_eq!(
-        resp.get("outcome").and_then(Json::as_str),
-        Some("completed")
-    );
-    let pong = ping(addr, T).expect("ping");
-    assert_eq!(server_field(&pong, "translate_calls"), 0);
-    assert_eq!(server_field(&pong, "inserted"), 0);
-    assert_eq!(server_field(&pong, "reply_errors"), 0);
-
-    shutdown(addr, T).expect("shutdown");
-    assert_eq!(handle.join().unwrap().panicked, 0);
-    let _ = std::fs::remove_dir_all(&dir);
+    let mut half = full.clone();
+    half.blocks.truncate(full.blocks.len() / 2);
+    (full.fingerprint(), seal(&full), seal(&half))
 }
 
-/// The refresh tick: a follower started against an *empty* leader
-/// picks up a partition that appears later, without restarting.
+/// A directory holding g3 (degraded), g5 and a duplicate g5 of one
+/// image: g5 wins and the other two count as rejects — both in the
+/// bind-time scan and in the first-sight lookup of a running daemon.
+/// The winner is observable: only the full g5 serves the first request
+/// translate-free.
 #[test]
-fn refresh_tick_picks_up_partitions_that_appear_later() {
+fn newest_generation_wins_and_duplicates_count_as_rejects() {
+    let (fp, full, half) = mcf_artifacts();
+    let populate = |dir: &Path| {
+        std::fs::write(dir.join(artifact_file_name(fp, 3)), &half).unwrap();
+        std::fs::write(dir.join(artifact_file_name(fp, 5)), &full).unwrap();
+        // `g05` parses as generation 5: an equal duplicate.
+        std::fs::write(dir.join(format!("{fp:016x}-g05.pdba")), &full).unwrap();
+    };
+
+    let boot_dir = scratch_dir("gen-boot");
+    populate(&boot_dir);
+    let (booted, booted_h) = serve_dir(&boot_dir);
+
+    let late_dir = scratch_dir("gen-late");
+    let (running, running_h) = serve_dir(&late_dir);
+    let pong = ping(running, T).expect("ping");
+    assert_eq!(pong.get("images").and_then(Json::as_u64), Some(0));
+    populate(&late_dir);
+
+    for (addr, what) in [(booted, "boot scan"), (running, "first sight")] {
+        let resp = submit(addr, &mcf_request(1), T).expect("submit");
+        assert_eq!(
+            resp.get("outcome").and_then(Json::as_str),
+            Some("completed")
+        );
+        let pong = ping(addr, T).expect("ping");
+        assert_eq!(artifact_field(&pong, "loaded"), 1, "{what}");
+        assert_eq!(artifact_field(&pong, "rejected"), 2, "{what}");
+        assert_eq!(server_field(&pong, "translate_calls"), 0, "{what}");
+        assert_eq!(server_field(&pong, "inserted"), 0, "{what}");
+    }
+
+    for (addr, handle) in [(booted, booted_h), (running, running_h)] {
+        shutdown(addr, T).expect("shutdown");
+        assert_eq!(handle.join().unwrap().panicked, 0);
+    }
+    let _ = std::fs::remove_dir_all(&boot_dir);
+    let _ = std::fs::remove_dir_all(&late_dir);
+}
+
+/// An artifact synced into a *running* follower's directory warms that
+/// image's first request, with no restart; an image the follower has
+/// already seen is not looked up again.
+#[test]
+fn artifact_synced_into_a_running_follower_warms_its_first_request() {
     let (leader, leader_h) = spawn_server(ServeConfig {
         jobs: 1,
         ..ServeConfig::default()
     });
-    let (follower, follower_h) = spawn_server(ServeConfig {
-        jobs: 1,
-        peers: vec![leader.to_string()],
-        replicate_interval: Some(Duration::from_millis(100)),
-        ..ServeConfig::default()
-    });
-
-    // Nothing to pull at boot: the leader is empty.
+    let dir = scratch_dir("late");
+    let (follower, follower_h) = serve_dir(&dir);
     let pong = ping(follower, T).expect("follower ping");
     assert_eq!(pong.get("images").and_then(Json::as_u64), Some(0));
 
-    // Warm the leader *after* the follower booted.
+    // Warm the leader and sync *after* the follower booted.
     let resp = submit(leader, &mcf_request(1), T).expect("leader warm-up");
     assert_eq!(
         resp.get("outcome").and_then(Json::as_str),
         Some("completed")
     );
+    assert_eq!(sync(leader, &dir, T).expect("sync").len(), 1);
 
-    // The jittered tick (50–150 ms at this interval) must replicate it.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let pong = ping(follower, T).expect("follower ping");
-        if pong.get("images").and_then(Json::as_u64) == Some(1) {
-            assert!(fleet_field(&pong, "pulled") >= 1);
-            assert!(fleet_field(&pong, "adopted") >= 1);
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "refresh tick never replicated the leader's partition"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let resp = submit(follower, &mcf_request(2), T).expect("follower first request");
+    assert_eq!(
+        resp.get("outcome").and_then(Json::as_str),
+        Some("completed")
+    );
+    let pong = ping(follower, T).expect("follower ping");
+    assert_eq!(artifact_field(&pong, "loaded"), 1);
+    assert_eq!(artifact_field(&pong, "rejected"), 0);
+    assert_eq!(server_field(&pong, "translate_calls"), 0);
+    assert_eq!(server_field(&pong, "inserted"), 0);
+
+    // A second image the follower already served cold stays cold: its
+    // file arriving later is not looked up on the request path.
+    let inline = Json::obj([(
+        "program",
+        Json::str("mov r0, #9\nmul r0, r0, r0\nsvc #1\nsvc #0\n"),
+    )]);
+    submit(follower, &inline, T).expect("follower inline");
+    let cold_calls = server_field(&ping(follower, T).expect("ping"), "translate_calls");
+    assert!(cold_calls > 0);
+    submit(leader, &inline, T).expect("leader inline");
+    assert_eq!(sync(leader, &dir, T).expect("sync").len(), 2);
+    submit(follower, &inline, T).expect("follower inline again");
+    let pong = ping(follower, T).expect("follower ping");
+    assert_eq!(artifact_field(&pong, "loaded"), 1);
+    assert_eq!(server_field(&pong, "translate_calls"), cold_calls);
 
     shutdown(follower, T).expect("follower shutdown");
     shutdown(leader, T).expect("leader shutdown");
     assert_eq!(follower_h.join().unwrap().panicked, 0);
     assert_eq!(leader_h.join().unwrap().panicked, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,9 +7,11 @@
 //! every healthy entry while quarantining exactly what the mutation
 //! destroyed — and a damaged artifact must still *boot*, falling back
 //! to cold translation for the quarantined sections with bit-identical
-//! guest output. The same matrix is also delivered over the wire
-//! (`ART_PUSH` against a live daemon), where the trust boundary is
-//! stricter: any quarantine refuses the whole transfer.
+//! guest output. The same matrix is also delivered to a live daemon's
+//! artifact directory and picked up by its first-sight lookup, and the
+//! wire path `pdbt sync` uses (`ART_PULL` + `validate`) is closed too:
+//! there the trust boundary is stricter, and any quarantine refuses
+//! the whole transfer.
 //!
 //! Hand-rolled seeded fuzz loops over the in-tree PRNG (`pdbt-rng`,
 //! aliased as `rand`) — the offline build has no proptest.
@@ -206,12 +208,12 @@ fn targeted_corruption_quarantines_exactly_the_mutated_entry() {
 
 /// A hot two-block loop at `0x1000`: enough to fill every artifact
 /// section (blocks, two superblock traces, an embedded ruleset).
+/// The fixture guest's assembly listing.
+const FUZZ_LISTING: &str = "mov r0, #100\nmov r1, #0\nadd r1, r1, r0\nb .+4\n\
+                            subs r0, r0, #1\nbne .-12\nmov r0, r1\nsvc #1\nsvc #0\n";
+
 fn fuzz_program() -> pdbt::arm::Program {
-    let insts = pdbt::arm::parse_listing(
-        "mov r0, #100\nmov r1, #0\nadd r1, r1, r0\nb .+4\n\
-         subs r0, r0, #1\nbne .-12\nmov r0, r1\nsvc #1\nsvc #0\n",
-    )
-    .expect("fixture assembles");
+    let insts = pdbt::arm::parse_listing(FUZZ_LISTING).expect("fixture assembles");
     pdbt::arm::Program::new(0x1000, insts)
 }
 
@@ -380,49 +382,80 @@ fn artifact_section_damage_quarantines_exactly_that_section() {
 }
 
 // ---------------------------------------------------------------------
-// The corruption matrix over the wire: ART_PUSH / ART_PULL against a
-// live daemon
+// The corruption matrix against a live daemon: first-sight pickup from
+// its artifact directory, and ART_PULL + validate on the wire
 // ---------------------------------------------------------------------
 
-/// Every class of artifact damage, delivered over `ART_PUSH` to a live
-/// daemon: the receiver must never panic, must refuse every damaged
-/// offer (counted in `fleet.rejected`, with quarantined sections also
-/// landing in `artifacts.sections_quarantined`), and after the pristine
-/// artifact is finally adopted, a `SUBMIT` of the same guest must run
-/// translate-free with the golden output. The pull path is closed the
-/// same way: a pulled artifact is bit-identical to the pristine seal,
-/// and client-side `pdbt::fleet::validate` refuses any post-pull
-/// mutation.
-#[test]
-fn wire_delivered_corruption_is_rejected_and_serving_stays_golden() {
+const SERVE_T: std::time::Duration = std::time::Duration::from_secs(120);
+
+/// Boots a daemon on an empty artifact dir, drops `file` in as the
+/// fixture image's generation-0 artifact *after* boot, and submits the
+/// fixture guest so the first-sight lookup picks the file up. Returns
+/// the daemon's `artifacts` PING section and the guest output.
+fn first_sight_of(file: &[u8], tag: &str) -> (pdbt::obs::json::Json, Vec<u32>) {
     use pdbt::obs::json::Json;
-    use std::time::Duration;
-
-    const T: Duration = Duration::from_secs(120);
-    let (bytes, golden) = sealed_fixture();
-    let table = section_table(bytes).unwrap();
-    let fp = fuzz_program().fingerprint();
-    let mut rng = StdRng::seed_from_u64(0xA7_7E_05);
-
-    let server =
-        pdbt_serve::Server::bind("127.0.0.1:0", pdbt_serve::ServeConfig::default()).expect("bind");
+    let dir = std::env::temp_dir().join(format!("pdbt-fuzz-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let server = pdbt_serve::Server::bind(
+        "127.0.0.1:0",
+        pdbt_serve::ServeConfig {
+            jobs: 1,
+            artifact_dir: Some(dir.clone()),
+            ..pdbt_serve::ServeConfig::default()
+        },
+    )
+    .expect("bind");
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.serve().expect("serve"));
+    let fp = fuzz_program().fingerprint();
+    std::fs::write(dir.join(pdbt::fleet::artifact_file_name(fp, 0)), file).unwrap();
 
-    // Generations strictly increase across offers so a refusal is
-    // always the trust boundary's verdict, never staleness.
-    let mut generation = 0u64;
-    let mut push = |mutated: &[u8], declared: u64| -> Json {
-        generation += 1;
-        pdbt_serve::push_artifact(addr, declared, generation, "fuzz", mutated, T).expect("push")
+    let req = Json::obj([("program", Json::str(FUZZ_LISTING))]);
+    let resp = pdbt_serve::submit(addr, &req, SERVE_T).expect("submit");
+    assert_eq!(
+        resp.get("outcome").and_then(Json::as_str),
+        Some("completed"),
+        "{tag}"
+    );
+    let out = resp
+        .get("report")
+        .and_then(|r| r.get("output"))
+        .and_then(Json::as_arr)
+        .expect("output")
+        .iter()
+        .map(|v| u32::try_from(v.as_u64().unwrap()).unwrap())
+        .collect();
+    let pong = pdbt_serve::ping(addr, SERVE_T).expect("ping");
+    pdbt_serve::shutdown(addr, SERVE_T).expect("shutdown");
+    assert_eq!(handle.join().unwrap().panicked, 0, "{tag}");
+    let _ = std::fs::remove_dir_all(&dir);
+    (
+        pong.get("artifacts").expect("artifacts section").clone(),
+        out,
+    )
+}
+
+/// Every class of artifact damage, dropped into a running daemon's
+/// artifact directory and picked up by the first-sight lookup: the
+/// daemon never panics, counts exactly the reject or the quarantined
+/// section in `artifacts.*`, and serves the golden output — salvaged
+/// sections and rejected files fall back to cold translation.
+#[test]
+fn first_sight_pickup_of_damaged_artifacts_counts_and_stays_golden() {
+    let (bytes, golden) = sealed_fixture();
+    let table = section_table(bytes).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xA7_7E_05);
+    let count = |arts: &pdbt::obs::json::Json, name: &str| {
+        arts.get(name)
+            .and_then(pdbt::obs::json::Json::as_u64)
+            .unwrap()
     };
 
-    let salvageable = ["META", "RULE", "BLKS", "TRCE"];
-    let (mut rejected, mut quarantined) = (0u64, 0u64);
-
+    // (file, loaded, rejected, sections quarantined)
+    let mut cases: Vec<(String, Vec<u8>, u64, u64, u64)> = Vec::new();
     // One poisoned payload byte per section: salvageable sections
-    // quarantine (refused wholesale on the wire), GIMG damage rejects
-    // the open outright.
+    // quarantine, GIMG damage rejects the file outright.
     for (tag, range) in &table {
         if range.is_empty() {
             continue;
@@ -430,100 +463,93 @@ fn wire_delivered_corruption_is_rejected_and_serving_stays_golden() {
         let mut mutated = bytes.clone();
         let i = rng.gen_range(range.start..range.end);
         mutated[i] ^= 1 << rng.gen_range(0..8u8);
-        let verdict = push(&mutated, fp);
-        assert_eq!(
-            verdict.get("adopted"),
-            Some(&Json::from(false)),
-            "damaged {tag} was adopted: {verdict}"
-        );
-        rejected += 1;
-        if salvageable.contains(&tag.as_str()) {
-            quarantined += 1;
-        }
+        let expect = if tag == "GIMG" { (0, 1, 0) } else { (1, 0, 1) };
+        cases.push((format!("flip-{tag}"), mutated, expect.0, expect.1, expect.2));
     }
-
-    // A truncated transfer: opens in salvage mode with one quarantined
-    // section — still refused on the wire.
+    // A truncated file: opens in salvage mode with TRCE quarantined.
     let trce_mid = (table[4].1.start + table[4].1.end) / 2;
-    let verdict = push(&bytes[..trce_mid], fp);
-    assert_eq!(verdict.get("adopted"), Some(&Json::from(false)));
-    rejected += 1;
-    quarantined += 1;
-
-    // A pristine artifact under a lying fingerprint: refused.
-    let verdict = push(bytes, fp ^ 1);
-    assert_eq!(verdict.get("adopted"), Some(&Json::from(false)));
-    rejected += 1;
-
-    // Nothing was adopted; every refusal was counted where the disk
-    // scan counts the same damage.
-    let pong = pdbt_serve::ping(addr, T).expect("ping");
-    assert_eq!(pong.get("images").and_then(Json::as_u64), Some(0));
-    let fleet = pong.get("fleet").expect("fleet section");
-    assert_eq!(fleet.get("rejected").and_then(Json::as_u64), Some(rejected));
-    assert_eq!(fleet.get("adopted").and_then(Json::as_u64), Some(0));
-    let arts = pong.get("artifacts").expect("artifacts section");
-    assert_eq!(
-        arts.get("sections_quarantined").and_then(Json::as_u64),
-        Some(quarantined)
-    );
-
-    // The pristine artifact is adopted, and the daemon then serves the
-    // fixture guest translate-free with the golden output.
-    let verdict = push(bytes, fp);
-    assert_eq!(verdict.get("adopted"), Some(&Json::from(true)), "{verdict}");
-    let req = Json::obj([
-        ("id", Json::from(1u64)),
-        (
-            "program",
-            Json::str(
-                "mov r0, #100\nmov r1, #0\nadd r1, r1, r0\nb .+4\n\
-                 subs r0, r0, #1\nbne .-12\nmov r0, r1\nsvc #1\nsvc #0\n",
-            ),
+    cases.push(("truncated".into(), bytes[..trce_mid].to_vec(), 1, 0, 1));
+    // A pristine artifact of another image under this image's name.
+    let other = pdbt::artifact::compile(
+        &pdbt::arm::Program::new(
+            0x1000,
+            pdbt::arm::parse_listing("mov r0, #7\nsvc #1\nsvc #0\n").unwrap(),
         ),
-    ]);
-    let resp = pdbt_serve::submit(addr, &req, T).expect("submit");
-    assert_eq!(
-        resp.get("outcome").and_then(Json::as_str),
-        Some("completed")
-    );
-    let out: Vec<u64> = resp
-        .get("report")
-        .and_then(|r| r.get("output"))
-        .and_then(Json::as_arr)
-        .expect("output")
-        .iter()
-        .map(|v| v.as_u64().unwrap())
-        .collect();
-    let want: Vec<u64> = golden.iter().map(|&v| u64::from(v)).collect();
-    assert_eq!(out, want, "wire-adopted artifact corrupted the guest");
-    let pong = pdbt_serve::ping(addr, T).expect("ping");
-    let srv = pong.get("server").expect("server section");
-    assert_eq!(srv.get("translate_calls").and_then(Json::as_u64), Some(0));
+        None,
+        &fuzz_setup(),
+        EngineConfig::default(),
+        "other",
+    )
+    .expect("other image compiles");
+    cases.push(("misnamed".into(), seal(&other), 0, 1, 0));
+    // And the pristine file itself loads clean.
+    cases.push(("pristine".into(), bytes.clone(), 1, 0, 0));
 
-    // The pull path: the transfer is bit-identical to the pristine
-    // seal, and any post-pull mutation fails client-side validation.
-    let pulled = pdbt_serve::pull_artifact(addr, fp, T).expect("pull");
+    for (tag, file, loaded, rejected, quarantined) in &cases {
+        let (arts, out) = first_sight_of(file, tag);
+        assert_eq!(&out, golden, "{tag}: damaged pickup diverged from oracle");
+        assert_eq!(count(&arts, "loaded"), *loaded, "{tag}: {arts}");
+        assert_eq!(count(&arts, "rejected"), *rejected, "{tag}: {arts}");
+        assert_eq!(
+            count(&arts, "sections_quarantined"),
+            *quarantined,
+            "{tag}: {arts}"
+        );
+    }
+}
+
+/// The wire path `pdbt sync` uses: a daemon booted from the pristine
+/// fixture serves it over `ART_PULL` bit-identical to the seal, `sync`
+/// writes exactly those bytes, and client-side `pdbt::fleet::validate`
+/// refuses every mutation of the pulled bytes.
+#[test]
+fn wire_delivered_corruption_is_rejected_and_serving_stays_golden() {
+    let (bytes, _) = sealed_fixture();
+    let fp = fuzz_program().fingerprint();
+    let mut rng = StdRng::seed_from_u64(0xA7_7E_06);
+    let dir = std::env::temp_dir().join(format!("pdbt-fuzz-wire-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("mirror")).unwrap();
+    std::fs::write(dir.join(pdbt::fleet::artifact_file_name(fp, 0)), bytes).unwrap();
+
+    let server = pdbt_serve::Server::bind(
+        "127.0.0.1:0",
+        pdbt_serve::ServeConfig {
+            jobs: 1,
+            artifact_dir: Some(dir.clone()),
+            ..pdbt_serve::ServeConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve().expect("serve"));
+
+    let pulled = pdbt_serve::pull_artifact(addr, fp, SERVE_T).expect("pull");
     assert_eq!(&pulled.bytes, bytes, "pulled artifact is not bit-identical");
     pdbt::fleet::validate(&pulled.bytes, fp).expect("pristine pull validates");
-    for _ in 0..8 {
+    assert!(
+        pdbt::fleet::validate(&pulled.bytes, fp ^ 1).is_err(),
+        "a lying fingerprint slipped past validation"
+    );
+    let synced = pdbt_serve::sync(addr, &dir.join("mirror"), SERVE_T).expect("sync");
+    assert_eq!(synced.len(), 1);
+    assert_eq!(&std::fs::read(&synced[0].0).unwrap(), bytes);
+
+    for _ in 0..cases() {
         let mut mutated = pulled.bytes.clone();
         let i = rng.gen_range(0..mutated.len());
         mutated[i] ^= 1 << rng.gen_range(0..8u8);
-        if mutated == pulled.bytes {
-            continue;
-        }
         assert!(
-            pdbt::fleet::validate(&mutated, fp).is_err()
-                || open_salvage(&mutated)
-                    .map(|o| seal(&o.artifact) == *bytes)
-                    .unwrap_or(false),
-            "a post-pull mutation slipped past client-side validation"
+            pdbt::fleet::validate(&mutated, fp).is_err(),
+            "a post-pull flip at byte {i} slipped past client-side validation"
         );
     }
+    let cut = rng.gen_range(0..pulled.bytes.len());
+    assert!(pdbt::fleet::validate(&pulled.bytes[..cut], fp).is_err());
 
-    pdbt_serve::shutdown(addr, T).expect("shutdown");
+    pdbt_serve::shutdown(addr, SERVE_T).expect("shutdown");
     assert_eq!(handle.join().unwrap().panicked, 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Swapping two whole section payloads (same artifact, valid CRCs
