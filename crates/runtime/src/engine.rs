@@ -10,7 +10,7 @@ use crate::backend::{backend_for, BackendKind, BackendObs};
 use crate::cache::{CachedBlock, ShardedCache};
 use crate::shared::SharedTranslationState;
 use crate::translate::{
-    collect_block, translate_block, translate_trace, BlockSuccs, CodeClass, DelegOutcome,
+    collect_block, translate_block_with, translate_trace_with, BlockSuccs, CodeClass, DelegOutcome,
     TranslateConfig, TranslateError, TranslatedBlock,
 };
 use pdbt_core::RuleSet;
@@ -949,7 +949,13 @@ impl Engine {
             Some(t) => t,
             None => {
                 let t0 = pdbt_obs::now_ns();
-                let block = translate_block(prog, pc, self.shared.rules(), &self.cfg.translate)?;
+                let block = translate_block_with(
+                    prog,
+                    self.shared.facts(prog),
+                    pc,
+                    self.shared.rules(),
+                    &self.cfg.translate,
+                )?;
                 if pdbt_obs::ENABLED {
                     self.obs
                         .translate_ns
@@ -1140,9 +1146,13 @@ impl Engine {
                 t
             }
             None => {
-                let Ok(tb) =
-                    translate_trace(prog, &members, self.shared.rules(), &self.cfg.translate)
-                else {
+                let Ok(tb) = translate_trace_with(
+                    prog,
+                    self.shared.facts(prog),
+                    &members,
+                    self.shared.rules(),
+                    &self.cfg.translate,
+                ) else {
                     return;
                 };
                 Arc::new(tb)
@@ -1252,7 +1262,7 @@ impl Engine {
                 return (Some(t), None);
             }
             let t0 = pdbt_obs::now_ns();
-            match translate_block(prog, *pc, shared.rules(), &tcfg) {
+            match translate_block_with(prog, shared.facts(prog), *pc, shared.rules(), &tcfg) {
                 Ok(block) => {
                     let ns = pdbt_obs::now_ns().saturating_sub(t0);
                     shared.server().record_translate();
@@ -2233,6 +2243,55 @@ mod engine_edge_tests {
                 );
             }
         }
+    }
+
+    /// One shared state builds its program facts once and only when it
+    /// translates: a cold run builds them, a `jobs = 4` prewarm and
+    /// trace formation on the same state read that same instance, and
+    /// a state warmed with every block and trace builds none.
+    #[test]
+    fn program_facts_are_built_once_per_state_and_only_when_translating() {
+        let prog = two_loop_program();
+        let cfg = EngineConfig {
+            trace_threshold: 5,
+            ..EngineConfig::default()
+        };
+        let shared = Arc::new(SharedTranslationState::new(None, 8));
+        assert!(shared.built_facts().is_none());
+        let mut engine = Engine::with_shared(Arc::clone(&shared), cfg);
+        engine.run(&prog, &setup()).unwrap();
+        let built = shared.built_facts().expect("the cold run built the facts");
+        assert!(std::ptr::eq(built, shared.facts(&prog)));
+        let traces = engine.export_traces();
+        assert!(traces.len() >= 2, "both loops formed traces");
+
+        // A parallel prewarm on the same state shares the instance.
+        shared.cache().clear();
+        let mut wide = Engine::with_shared(Arc::clone(&shared), EngineConfig { jobs: 4, ..cfg });
+        assert!(wide.prewarm(&prog) > 0);
+        assert!(std::ptr::eq(built, shared.built_facts().unwrap()));
+
+        // Every block and trace warm: nothing translates, nothing builds.
+        let blocks = shared
+            .cache()
+            .snapshot()
+            .into_iter()
+            .map(|(_, b)| (*b).clone())
+            .collect();
+        let warm = Arc::new(SharedTranslationState::warm(
+            None,
+            8,
+            1,
+            0,
+            blocks,
+            traces,
+            pdbt_obs::ArtifactCounters::new(),
+        ));
+        let report = Engine::with_shared(Arc::clone(&warm), cfg)
+            .run(&prog, &setup())
+            .unwrap();
+        assert_eq!(report.server.translate_calls, 0);
+        assert!(warm.built_facts().is_none());
     }
 
     /// Two sessions over one shared state: invalidating in one session

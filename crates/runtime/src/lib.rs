@@ -46,6 +46,7 @@ pub use engine::{
 };
 pub use shared::SharedTranslationState;
 pub use translate::{
-    collect_block, translate_block, translate_trace, BlockSuccs, CodeClass, DelegOutcome,
-    MemberMark, RuleAttribution, TranslateConfig, TranslateError, TranslatedBlock,
+    collect_block, translate_block, translate_block_with, translate_trace, translate_trace_with,
+    BlockSuccs, CodeClass, DelegOutcome, MemberMark, ProgramFacts, RuleAttribution,
+    TranslateConfig, TranslateError, TranslatedBlock,
 };

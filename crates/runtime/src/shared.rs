@@ -19,15 +19,19 @@
 //! One shared state serves one guest image: translations are keyed by
 //! guest pc, so sessions running *different* programs must use
 //! different states (`pdbt-serve` partitions them by an image
-//! fingerprint) or a session would execute another image's code.
+//! fingerprint) or a session would execute another image's code. The
+//! same contract lets the state hold the image's whole-program
+//! [`ProgramFacts`], built on first use and read by every later block
+//! and trace translation.
 
 use crate::cache::ShardedCache;
-use crate::translate::TranslatedBlock;
+use crate::translate::{ProgramFacts, TranslatedBlock};
 use pdbt_core::RuleSet;
 use pdbt_isa::Addr;
+use pdbt_isa_arm::Program;
 use pdbt_obs::{ArtifactCounters, ServerCounters, Telemetry};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The translation state shared by every session of one server (or
 /// owned exclusively by a standalone engine — `Engine::new` wraps one
@@ -41,6 +45,10 @@ pub struct SharedTranslationState {
     rules: Option<RuleSet>,
     /// The warm code cache of pure translations.
     cache: ShardedCache,
+    /// Whole-program facts of the one guest image this state serves,
+    /// built by the first translation that needs them (a state that
+    /// translates nothing never builds them).
+    facts: OnceLock<ProgramFacts>,
     /// Server-lifetime counters: probes, inserts, translate calls,
     /// sessions. See `pdbt_obs::ServerCounters` for the determinism
     /// discipline (`hits` is derived, not raced).
@@ -87,6 +95,7 @@ impl SharedTranslationState {
         SharedTranslationState {
             rules,
             cache: ShardedCache::new(cache_shards),
+            facts: OnceLock::new(),
             server: ServerCounters::new(),
             telemetry: Telemetry::with_partition(slots, partition),
             traces: HashMap::new(),
@@ -137,6 +146,26 @@ impl SharedTranslationState {
     #[must_use]
     pub fn cache(&self) -> &ShardedCache {
         &self.cache
+    }
+
+    /// The whole-program facts of `prog`, computed on the first call
+    /// and shared by every later one (concurrent first callers wait for
+    /// one build). A state serves exactly one guest image — its code
+    /// cache is keyed by pc — so every call must pass that same image;
+    /// debug builds check that base and length match.
+    pub fn facts(&self, prog: &Program) -> &ProgramFacts {
+        let facts = self.facts.get_or_init(|| ProgramFacts::new(prog));
+        debug_assert!(
+            facts.matches(prog),
+            "one shared translation state serves one guest image"
+        );
+        facts
+    }
+
+    /// The facts, if a translation has built them yet.
+    #[cfg(test)]
+    pub(crate) fn built_facts(&self) -> Option<&ProgramFacts> {
+        self.facts.get()
     }
 
     /// The server-lifetime counters.

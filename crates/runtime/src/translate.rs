@@ -292,16 +292,94 @@ fn tcg_legalize(code: Vec<HInst>) -> Vec<HInst> {
     out
 }
 
+/// Whole-program facts the translator reads: the flag live-ins at
+/// every instruction and the return-continuation join. Both depend
+/// only on the guest image, so they are computed once per image — a
+/// [`SharedTranslationState`](crate::SharedTranslationState) holds one
+/// for every block and trace it translates — rather than once per
+/// translated block.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ProgramFacts {
+    /// Base address of the image the facts were computed for.
+    base: Addr,
+    /// Flag live-in set per instruction index.
+    liveins: Vec<FlagSet>,
+    /// Flags live out of an indirect transfer (return): the join over
+    /// every call continuation's live-in.
+    ret_live: FlagSet,
+}
+
+impl ProgramFacts {
+    /// Runs the whole-program analyses over `prog`.
+    #[must_use]
+    pub fn new(prog: &Program) -> ProgramFacts {
+        let (liveins, ret_live) = flag_liveins(prog);
+        ProgramFacts {
+            base: prog.base(),
+            liveins,
+            ret_live,
+        }
+    }
+
+    /// Whether these facts describe an image laid out like `prog`
+    /// (same base address and length).
+    pub(crate) fn matches(&self, prog: &Program) -> bool {
+        self.base == prog.base() && self.liveins.len() == prog.len()
+    }
+
+    /// The flag live-in set at a guest address — the conservative NZCV
+    /// join for addresses outside the program (unknown continuations).
+    fn livein_at(&self, addr: Addr) -> FlagSet {
+        if addr < self.base || !(addr - self.base).is_multiple_of(INST_SIZE) {
+            return FlagSet::NZCV;
+        }
+        let i = ((addr - self.base) / INST_SIZE) as usize;
+        self.liveins.get(i).copied().unwrap_or(FlagSet::NZCV)
+    }
+
+    /// Flags live out of a block ending in `last_inst` at `last_addr`:
+    /// the join over the successors' live-ins (cross-block flag
+    /// liveness).
+    fn exit_live(&self, last_addr: Addr, last_inst: &GInst) -> FlagSet {
+        let at = |addr: Addr| self.livein_at(addr);
+        match last_inst.op {
+            pdbt_isa_arm::Op::B => {
+                let Operand::Target(d) = last_inst.operands[0] else {
+                    unreachable!()
+                };
+                let taken = at(last_addr.wrapping_add(d as u32));
+                if last_inst.cond == Cond::Al {
+                    taken
+                } else {
+                    taken | at(last_addr + INST_SIZE)
+                }
+            }
+            pdbt_isa_arm::Op::Bl => {
+                let Operand::Target(d) = last_inst.operands[0] else {
+                    unreachable!()
+                };
+                at(last_addr.wrapping_add(d as u32)) | at(last_addr + INST_SIZE)
+            }
+            pdbt_isa_arm::Op::Svc if last_inst.operands[0].as_imm() == Some(0) => FlagSet::EMPTY,
+            // Indirect transfer (return): join over call continuations.
+            _ if last_inst.is_branch() => self.ret_live,
+            // Max-length block: falls through to the next instruction.
+            _ => at(last_addr + INST_SIZE),
+        }
+    }
+}
+
 /// Whole-program flag live-in analysis: for every instruction index,
-/// which flags may be read (along some path) before being redefined.
-/// Backward fixpoint over the static CFG; indirect control transfers
-/// (`bx`, `pop {…, pc}`, `mov pc, …`) conservatively treat all flags as
+/// which flags may be read (along some path) before being redefined,
+/// plus the return-continuation join at the fixpoint. Backward
+/// fixpoint over the static CFG; indirect control transfers (`bx`,
+/// `pop {…, pc}`, `mov pc, …`) conservatively treat all flags as
 /// live. The block translator uses this to decide which flag
 /// definitions must be materialized into the environment for
 /// *successor* blocks — the cross-block counterpart of the paper's
 /// "emulated by their corresponding memory locations to guarantee the
 /// correctness" fallback (§IV-D).
-pub(crate) fn flag_liveins(prog: &Program) -> Vec<FlagSet> {
+fn flag_liveins(prog: &Program) -> (Vec<FlagSet>, FlagSet) {
     let insts = prog.insts();
     let n = insts.len();
     let idx_of = |addr: Addr| -> Option<usize> {
@@ -368,8 +446,10 @@ pub(crate) fn flag_liveins(prog: &Program) -> Vec<FlagSet> {
                 changed = true;
             }
         }
+        // The last pass changed nothing, so the `ret_live` it read is
+        // the join over the final live-ins.
         if !changed {
-            return live_in;
+            return (live_in, ret_live);
         }
     }
 }
@@ -569,59 +649,6 @@ fn reg_frequency_order<'a>(insts: impl Iterator<Item = &'a GInst>) -> Vec<GReg> 
     // emitted host code — is unchanged).
     order.sort_by_key(|r| std::cmp::Reverse(counts[r.index()]));
     order
-}
-
-/// The flag live-in set at a guest address — the conservative NZCV join
-/// for addresses outside the program (unknown continuations).
-fn livein_at(prog: &Program, liveins: &[FlagSet], addr: Addr) -> FlagSet {
-    if addr < prog.base() || !(addr - prog.base()).is_multiple_of(INST_SIZE) {
-        return FlagSet::NZCV;
-    }
-    let i = ((addr - prog.base()) / INST_SIZE) as usize;
-    liveins.get(i).copied().unwrap_or(FlagSet::NZCV)
-}
-
-/// Flags live out of a block ending in `last_inst` at `last_addr`: the
-/// join over the successors' live-ins (cross-block flag liveness).
-fn block_exit_live(
-    prog: &Program,
-    liveins: &[FlagSet],
-    last_addr: Addr,
-    last_inst: &GInst,
-) -> FlagSet {
-    let at = |addr: Addr| livein_at(prog, liveins, addr);
-    match last_inst.op {
-        pdbt_isa_arm::Op::B => {
-            let Operand::Target(d) = last_inst.operands[0] else {
-                unreachable!()
-            };
-            let taken = at(last_addr.wrapping_add(d as u32));
-            if last_inst.cond == Cond::Al {
-                taken
-            } else {
-                taken | at(last_addr + INST_SIZE)
-            }
-        }
-        pdbt_isa_arm::Op::Bl => {
-            let Operand::Target(d) = last_inst.operands[0] else {
-                unreachable!()
-            };
-            at(last_addr.wrapping_add(d as u32)) | at(last_addr + INST_SIZE)
-        }
-        pdbt_isa_arm::Op::Svc if last_inst.operands[0].as_imm() == Some(0) => FlagSet::EMPTY,
-        _ if last_inst.is_branch() => {
-            // Indirect transfer (return): join over call continuations.
-            let mut ret_live = FlagSet::EMPTY;
-            for (i, inst) in prog.insts().iter().enumerate() {
-                if inst.op == pdbt_isa_arm::Op::Bl && i + 1 < liveins.len() {
-                    ret_live |= liveins[i + 1];
-                }
-            }
-            ret_live
-        }
-        // Max-length block: falls through to the next instruction.
-        _ => at(last_addr + INST_SIZE),
-    }
 }
 
 /// A host-code segment for one guest instruction (or one sequence-rule
@@ -1051,13 +1078,30 @@ fn emit_exit_stubs(e: &mut Emitter, plan: &StubPlan, fall: Addr, guest_len: u32)
     }
 }
 
-/// Translates the basic block starting at `start`.
+/// Translates the basic block starting at `start`, computing `prog`'s
+/// [`ProgramFacts`] for this one call. Callers translating many blocks
+/// of one image use [`translate_block_with`] and shared facts.
 ///
 /// # Errors
 ///
 /// [`TranslateError`] on fetch failures or unliftable instructions.
 pub fn translate_block(
     prog: &Program,
+    start: Addr,
+    rules: Option<&RuleSet>,
+    cfg: &TranslateConfig,
+) -> Result<TranslatedBlock, TranslateError> {
+    translate_block_with(prog, &ProgramFacts::new(prog), start, rules, cfg)
+}
+
+/// [`translate_block`] against precomputed `facts` for `prog`.
+///
+/// # Errors
+///
+/// [`TranslateError`] on fetch failures or unliftable instructions.
+pub fn translate_block_with(
+    prog: &Program,
+    facts: &ProgramFacts,
     start: Addr,
     rules: Option<&RuleSet>,
     cfg: &TranslateConfig,
@@ -1076,9 +1120,8 @@ pub fn translate_block(
     };
     let n = insts.len();
     // Flags live into the block's successors (cross-block liveness).
-    let liveins = flag_liveins(prog);
     let (last_addr, last_inst) = *insts.last().expect("non-empty block");
-    let exit_live = block_exit_live(prog, &liveins, last_addr, last_inst);
+    let exit_live = facts.exit_live(last_addr, last_inst);
     let mut live_after = vec![FlagSet::EMPTY; n];
     let mut live = exit_live;
     for i in (0..n).rev() {
@@ -1415,6 +1458,21 @@ pub fn translate_trace(
     rules: Option<&RuleSet>,
     cfg: &TranslateConfig,
 ) -> Result<TranslatedBlock, TranslateError> {
+    translate_trace_with(prog, &ProgramFacts::new(prog), members, rules, cfg)
+}
+
+/// [`translate_trace`] against precomputed `facts` for `prog`.
+///
+/// # Errors
+///
+/// As [`translate_trace`].
+pub fn translate_trace_with(
+    prog: &Program,
+    facts: &ProgramFacts,
+    members: &[Addr],
+    rules: Option<&RuleSet>,
+    cfg: &TranslateConfig,
+) -> Result<TranslatedBlock, TranslateError> {
     let _span = pdbt_obs::span_with("translate_trace", || {
         format!("{:#x} ({} members)", members[0], members.len())
     });
@@ -1497,9 +1555,8 @@ pub fn translate_trace(
     // conditional branches join their off-trace side's live-ins, so a
     // producer's flags stay live exactly as long as any on- or off-trace
     // consumer can still read them.
-    let liveins = flag_liveins(prog);
     let (final_last_addr, final_last_inst) = *mems[k - 1].last().expect("non-empty block");
-    let exit_live = block_exit_live(prog, &liveins, final_last_addr, final_last_inst);
+    let exit_live = facts.exit_live(final_last_addr, final_last_inst);
     let mut live_after = vec![FlagSet::EMPTY; total_n];
     {
         let mut live = exit_live;
@@ -1522,11 +1579,11 @@ pub fn translate_trace(
                         } else {
                             taken
                         };
-                        live |= livein_at(prog, &liveins, off);
+                        live |= facts.livein_at(off);
                     }
                     // A call's return continuation is off-trace.
                     pdbt_isa_arm::Op::Bl => {
-                        live |= livein_at(prog, &liveins, addr + INST_SIZE);
+                        live |= facts.livein_at(addr + INST_SIZE);
                     }
                     _ => {}
                 }
@@ -1627,7 +1684,7 @@ pub fn translate_trace(
                     taken
                 };
                 let off_live = if interior {
-                    livein_at(prog, &liveins, off)
+                    facts.livein_at(off)
                 } else {
                     FlagSet::EMPTY
                 };

@@ -66,7 +66,7 @@ use pdbt_par::TaskQueue;
 use pdbt_runtime::{BackendKind, Engine, EngineConfig, RunSetup, SharedTranslationState};
 use pdbt_workloads::{build, Benchmark, Scale, Workload};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -217,10 +217,12 @@ struct Partition {
 struct ArtifactTally {
     /// Artifacts that loaded and warmed a partition.
     loaded: AtomicU64,
-    /// Artifacts rejected wholesale (unreadable, bad header/version,
-    /// named for another image) or shadowed by a newer generation of
-    /// the same image — the image boots from the winner or cold.
-    rejected: AtomicU64,
+    /// Artifact files rejected wholesale (unreadable, bad
+    /// header/version, named for another image) or shadowed by a newer
+    /// generation of the same image — the image boots from the winner
+    /// or cold. A set, so a file the bind-time scan rejected counts once
+    /// even when its image's first request scans it again.
+    rejected: Mutex<HashSet<PathBuf>>,
     /// Sections quarantined inside loaded artifacts.
     sections_quarantined: AtomicU64,
 }
@@ -229,7 +231,7 @@ impl ArtifactTally {
     fn record(&self, scan: &Scan) {
         self.loaded
             .fetch_add(scan.partitions.len() as u64, Ordering::Relaxed);
-        self.rejected.fetch_add(scan.rejected, Ordering::Relaxed);
+        lock(&self.rejected).extend(scan.rejected.iter().cloned());
         self.sections_quarantined
             .fetch_add(scan.quarantined, Ordering::Relaxed);
     }
@@ -237,10 +239,7 @@ impl ArtifactTally {
     fn to_json(&self, trace_hits: u64) -> Json {
         Json::obj([
             ("loaded", Json::from(self.loaded.load(Ordering::Relaxed))),
-            (
-                "rejected",
-                Json::from(self.rejected.load(Ordering::Relaxed)),
-            ),
+            ("rejected", Json::from(lock(&self.rejected).len() as u64)),
             (
                 "sections_quarantined",
                 Json::from(self.sections_quarantined.load(Ordering::Relaxed)),
@@ -255,7 +254,8 @@ impl ArtifactTally {
 #[derive(Debug, Default)]
 struct Scan {
     partitions: Vec<(u64, Partition)>,
-    rejected: u64,
+    /// Files rejected wholesale or shadowed.
+    rejected: Vec<PathBuf>,
     quarantined: u64,
 }
 
@@ -315,22 +315,9 @@ impl ServerCtx {
     /// RULE section was quarantined — the partition falls back to the
     /// server's own rules, exactly as a cold partition would.
     fn scan_artifacts(&self, dir: &Path, image: Option<u64>) -> Scan {
-        let prefix = image.map(|fp| format!("{fp:016x}-g"));
-        let wanted = |p: &Path| {
-            p.extension().is_some_and(|e| e == "pdba")
-                && prefix.as_deref().is_none_or(|pre| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with(pre))
-                })
-        };
         let mut scan = Scan::default();
-        let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
-            Ok(entries) => entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| wanted(p))
-                .collect(),
+        let paths = match artifact_paths(dir, image) {
+            Ok(paths) => paths,
             Err(e) => {
                 eprintln!(
                     "pdbt-serve: artifact dir {} unreadable ({e}); booting cold",
@@ -339,7 +326,6 @@ impl ServerCtx {
                 return scan;
             }
         };
-        paths.sort();
         let mut candidates = Vec::new();
         for path in paths {
             let loaded = std::fs::read(&path)
@@ -354,26 +340,33 @@ impl ServerCtx {
                         Some(want) if want != fp => {
                             Err(format!("rejected: holds image {fp:016x}, not {want:016x}"))
                         }
-                        _ => Ok((fp, version, (bytes, opened))),
+                        _ => Ok((fp, version, (path.clone(), bytes, opened))),
                     }
                 });
             match loaded {
                 Ok(candidate) => candidates.push(candidate),
                 Err(why) => {
                     eprintln!("pdbt-serve: artifact {} {why}", path.display());
-                    scan.rejected += 1;
+                    scan.rejected.push(path);
                 }
             }
         }
+        let read: Vec<PathBuf> = candidates
+            .iter()
+            .map(|(_, _, (path, ..))| path.clone())
+            .collect();
         let (winners, shadowed) = dedupe_newest(candidates);
         if shadowed > 0 {
             eprintln!(
                 "pdbt-serve: {shadowed} duplicate artifact(s) shadowed by newer generations in {}",
                 dir.display()
             );
-            scan.rejected += shadowed;
+            scan.rejected.extend(
+                read.into_iter()
+                    .filter(|p| !winners.iter().any(|(_, _, (won, ..))| won == p)),
+            );
         }
-        for (fingerprint, version, (bytes, opened)) in winners {
+        for (fingerprint, version, (_, bytes, opened)) in winners {
             for q in &opened.quarantined {
                 eprintln!(
                     "pdbt-serve: artifact {fingerprint:016x}: section {} quarantined: {}",
@@ -415,6 +408,29 @@ impl ServerCtx {
         }
         scan
     }
+}
+
+/// The `*.pdba` files in `dir`, in name order — with `image` set, only
+/// those named for it (`{image:016x}-g*.pdba`). Temporary files from an
+/// in-progress [`write_artifact`] do not end in `.pdba` and are never
+/// listed.
+fn artifact_paths(dir: &Path, image: Option<u64>) -> io::Result<Vec<PathBuf>> {
+    let prefix = image.map(|fp| format!("{fp:016x}-g"));
+    let wanted = |p: &Path| {
+        p.extension().is_some_and(|e| e == "pdba")
+            && prefix.as_deref().is_none_or(|pre| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(pre))
+            })
+    };
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| wanted(p))
+        .collect();
+    paths.sort();
+    Ok(paths)
 }
 
 /// A bound, not-yet-serving daemon.
@@ -955,21 +971,29 @@ fn serve_pull(ctx: &ServerCtx, frame: &proto::Frame, stream: &mut TcpStream) {
 }
 
 /// Drain write-back: every partition whose current seal has moved past
-/// what the artifact dir holds is written out under its generation
-/// file name (atomically, see [`write_artifact`]). Runs after the
-/// queue quiesced, so the seals are final.
+/// what it loaded from or last wrote to the artifact dir is written out
+/// under its generation file name (atomically, see [`write_artifact`]),
+/// bumped past the newest generation any file in the dir is already
+/// named with for that image, so a file `pdbt sync` dropped in is never
+/// replaced. Runs after the queue quiesced, so the seals are final.
 fn write_back(ctx: &ServerCtx, dir: &Path) {
     for fp in fingerprints(ctx) {
         let Some((sealed, ad)) = seal_partition(ctx, fp) else {
             continue;
         };
-        let generation = ad.version.generation;
         let on_disk = lock(&ctx.partitions)
             .get(&fp)
             .and_then(|p| p.disk_generation);
-        if on_disk.is_some_and(|g| generation <= g) {
+        if on_disk.is_some_and(|g| ad.version.generation <= g) {
             continue;
         }
+        // A `pdbt sync` may have put a file for this image in the dir
+        // since this partition last looked: land past it, never on it.
+        let generation = artifact_paths(dir, Some(fp))
+            .unwrap_or_default()
+            .iter()
+            .map(|p| parse_generation(p) + 1)
+            .fold(ad.version.generation, u64::max);
         match write_artifact(dir, fp, generation, &sealed) {
             Ok(_) => {
                 ctx.fleet.record_written_back();
@@ -1423,6 +1447,49 @@ mod tests {
 
         client::shutdown(addr, t).expect("shutdown");
         handle.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_write_back_lands_past_a_file_synced_in_after_a_cold_boot() {
+        let prog = guest_program();
+        let fp = prog.fingerprint();
+        let dir =
+            std::env::temp_dir().join(format!("pdbt-serve-writeback-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (addr, handle) = spawn_server(ServeConfig {
+            artifact_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let t = Duration::from_secs(30);
+        // The image boots cold: nothing in the dir at first sight.
+        let req = Json::obj([("program", Json::str(GUEST))]);
+        assert_eq!(
+            output_of(&client::submit(addr, &req, t).expect("submit")),
+            [42]
+        );
+
+        // A sync then names the image's g0 in the dir.
+        let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+        let artifact =
+            pdbt_artifact::compile(&prog, None, &setup, EngineConfig::default(), "synced")
+                .expect("compile");
+        let synced = pdbt_artifact::seal(&artifact);
+        let g0 = dir.join(pdbt_fleet::artifact_file_name(fp, 0));
+        std::fs::write(&g0, &synced).unwrap();
+
+        client::shutdown(addr, t).expect("shutdown");
+        assert_eq!(handle.join().unwrap().panicked, 0);
+        assert_eq!(
+            std::fs::read(&g0).unwrap(),
+            synced,
+            "the synced g0 was replaced"
+        );
+        let g1 = std::fs::read(dir.join(pdbt_fleet::artifact_file_name(fp, 1)))
+            .expect("the write-back landed as g1");
+        pdbt_fleet::validate(&g1, fp).expect("the write-back is a whole artifact");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

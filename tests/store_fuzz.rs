@@ -388,15 +388,23 @@ fn artifact_section_damage_quarantines_exactly_that_section() {
 
 const SERVE_T: std::time::Duration = std::time::Duration::from_secs(120);
 
-/// Boots a daemon on an empty artifact dir, drops `file` in as the
-/// fixture image's generation-0 artifact *after* boot, and submits the
-/// fixture guest so the first-sight lookup picks the file up. Returns
-/// the daemon's `artifacts` PING section and the guest output.
-fn first_sight_of(file: &[u8], tag: &str) -> (pdbt::obs::json::Json, Vec<u32>) {
+/// Boots a daemon on an artifact dir holding `file` as the fixture
+/// image's generation-0 artifact — written before boot if `at_boot`,
+/// else dropped in *after* boot — and submits the fixture guest so the
+/// first-sight lookup picks the file up. Returns the daemon's
+/// `artifacts` PING section and the guest output.
+fn first_sight_of(file: &[u8], tag: &str, at_boot: bool) -> (pdbt::obs::json::Json, Vec<u32>) {
     use pdbt::obs::json::Json;
     let dir = std::env::temp_dir().join(format!("pdbt-fuzz-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(pdbt::fleet::artifact_file_name(
+        fuzz_program().fingerprint(),
+        0,
+    ));
+    if at_boot {
+        std::fs::write(&path, file).unwrap();
+    }
     let server = pdbt_serve::Server::bind(
         "127.0.0.1:0",
         pdbt_serve::ServeConfig {
@@ -408,8 +416,9 @@ fn first_sight_of(file: &[u8], tag: &str) -> (pdbt::obs::json::Json, Vec<u32>) {
     .expect("bind");
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.serve().expect("serve"));
-    let fp = fuzz_program().fingerprint();
-    std::fs::write(dir.join(pdbt::fleet::artifact_file_name(fp, 0)), file).unwrap();
+    if !at_boot {
+        std::fs::write(&path, file).unwrap();
+    }
 
     let req = Json::obj([("program", Json::str(FUZZ_LISTING))]);
     let resp = pdbt_serve::submit(addr, &req, SERVE_T).expect("submit");
@@ -486,7 +495,7 @@ fn first_sight_pickup_of_damaged_artifacts_counts_and_stays_golden() {
     cases.push(("pristine".into(), bytes.clone(), 1, 0, 0));
 
     for (tag, file, loaded, rejected, quarantined) in &cases {
-        let (arts, out) = first_sight_of(file, tag);
+        let (arts, out) = first_sight_of(file, tag, false);
         assert_eq!(&out, golden, "{tag}: damaged pickup diverged from oracle");
         assert_eq!(count(&arts, "loaded"), *loaded, "{tag}: {arts}");
         assert_eq!(count(&arts, "rejected"), *rejected, "{tag}: {arts}");
@@ -494,6 +503,27 @@ fn first_sight_pickup_of_damaged_artifacts_counts_and_stays_golden() {
             count(&arts, "sections_quarantined"),
             *quarantined,
             "{tag}: {arts}"
+        );
+    }
+}
+
+/// A damaged file present at boot is rejected by the bind-time scan
+/// and again by its image's first-sight lookup, but counts once: the
+/// reject tally is per file over the daemon's lifetime, not per scan.
+#[test]
+fn a_file_rejected_at_boot_and_at_first_sight_counts_once() {
+    let (bytes, golden) = sealed_fixture();
+    let table = section_table(bytes).unwrap();
+    let gimg = &table.iter().find(|(tag, _)| tag == "GIMG").unwrap().1;
+    let mut mutated = bytes.clone();
+    mutated[(gimg.start + gimg.end) / 2] ^= 0x10;
+    let (arts, out) = first_sight_of(&mutated, "boot-reject", true);
+    assert_eq!(&out, golden);
+    for (name, want) in [("loaded", 0), ("rejected", 1), ("sections_quarantined", 0)] {
+        assert_eq!(
+            arts.get(name).and_then(pdbt::obs::json::Json::as_u64),
+            Some(want),
+            "{name}: {arts}"
         );
     }
 }
