@@ -16,8 +16,9 @@
 //!
 //! Section offsets are relative to the payload area and the table is
 //! written in the fixed section order META, GIMG, RULE, BLKS, TRCE —
-//! sealing is canonical (blocks sorted by address, traces by head), so
-//! `seal(open(seal(a)))` is byte-identical to `seal(a)`.
+//! sealing is canonical (blocks sorted by address, traces by head and
+//! then member starts), so `seal(open(seal(a)))` is byte-identical to
+//! `seal(a)`.
 //!
 //! ## Salvage semantics
 //!
@@ -66,8 +67,9 @@ pub struct Artifact {
     pub rules: Option<RuleSet>,
     /// Pre-translated blocks (sorted by guest address when sealed).
     pub blocks: Vec<TranslatedBlock>,
-    /// Superblock traces (sorted by head address when sealed); member
-    /// lists are recoverable from each trace's `member_marks`.
+    /// Superblock traces (sorted by head address, then member starts,
+    /// when sealed); member lists are recoverable from each trace's
+    /// `member_marks`.
     pub traces: Vec<TranslatedBlock>,
 }
 
@@ -157,7 +159,8 @@ struct TableEntry {
 
 /// Seals an artifact into PDBA bytes. Canonical: sections are written
 /// in fixed order, blocks sorted by guest address, traces by head
-/// address — sealing the same content twice yields identical bytes.
+/// address and then member starts — sealing the same content twice
+/// yields identical bytes.
 #[must_use]
 pub fn seal(artifact: &Artifact) -> Vec<u8> {
     let mut meta = Writer::new();
@@ -191,8 +194,10 @@ pub fn seal(artifact: &Artifact) -> Vec<u8> {
     }
 
     let mut trce = Writer::new();
+    // A live library can hold two member lists with one head (sessions
+    // that chained differently), so the member starts break head ties.
     let mut sorted_traces: Vec<&TranslatedBlock> = artifact.traces.iter().collect();
-    sorted_traces.sort_by_key(|t| t.start);
+    sorted_traces.sort_by_cached_key(|t| (t.start, t.member_starts()));
     trce.u32(sorted_traces.len() as u32);
     for t in sorted_traces {
         write_block(&mut trce, t);

@@ -184,11 +184,12 @@ pub fn write_artifact(
 }
 
 /// Re-seals a live translation state through the canonical artifact
-/// writer: the partition's shared code cache becomes BLKS, its boot
-/// trace library becomes TRCE, and its ruleset RULE. Because `seal` is
-/// canonical (blocks sorted by address, traces by head), the result is
-/// a byte-level seal fixpoint exactly like a `pdbt compile` product —
-/// this is the drain write-back path.
+/// writer: the partition's shared code cache becomes BLKS, its whole
+/// superblock library (boot artifact plus every trace a session
+/// formed) becomes TRCE, and its ruleset RULE. Because `seal` is
+/// canonical (blocks sorted by address, traces by head and then member
+/// starts), the result is a byte-level seal fixpoint exactly like a
+/// `pdbt compile` product — this is the drain write-back path.
 #[must_use]
 pub fn seal_live(label: &str, program: &Program, state: &SharedTranslationState) -> Vec<u8> {
     let blocks = state

@@ -351,6 +351,7 @@ pub struct ServerCounters {
     probes: std::sync::atomic::AtomicU64,
     inserted: std::sync::atomic::AtomicU64,
     translate_calls: std::sync::atomic::AtomicU64,
+    trace_translate_calls: std::sync::atomic::AtomicU64,
     sessions: std::sync::atomic::AtomicU64,
     compiled: std::sync::atomic::AtomicU64,
 }
@@ -383,6 +384,15 @@ impl ServerCounters {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
+    /// Records one `translate_trace` invocation: a session formed a
+    /// member list the superblock library did not hold yet (including
+    /// race losers whose result was discarded).
+    #[inline]
+    pub fn record_trace_translate(&self) {
+        self.trace_translate_calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
     /// Records a session attaching to the shared state.
     #[inline]
     pub fn record_session(&self) {
@@ -409,6 +419,7 @@ impl ServerCounters {
             inserted,
             hits: probes.saturating_sub(inserted),
             translate_calls: self.translate_calls.load(Relaxed),
+            trace_translate_calls: self.trace_translate_calls.load(Relaxed),
             sessions: self.sessions.load(Relaxed),
             compiled_blocks: self.compiled.load(Relaxed),
         }
@@ -429,6 +440,10 @@ pub struct ServerSnapshot {
     /// Actual `translate_block` invocations (≥ `inserted`; the excess
     /// is duplicate work from insert races).
     pub translate_calls: u64,
+    /// Actual `translate_trace` invocations: superblock member lists
+    /// first formed against this state (0 when every trace came from
+    /// the library).
+    pub trace_translate_calls: u64,
     /// Sessions that attached to the shared state.
     pub sessions: u64,
     /// Blocks compiled to threaded code across all sessions (0 under

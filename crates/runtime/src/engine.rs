@@ -548,6 +548,10 @@ impl Report {
                     ("inserted", Json::from(self.server.inserted)),
                     ("hits", Json::from(self.server.hits)),
                     ("translate_calls", Json::from(self.server.translate_calls)),
+                    (
+                        "trace_translate_calls",
+                        Json::from(self.server.trace_translate_calls),
+                    ),
                     ("sessions", Json::from(self.server.sessions)),
                     ("compiled_blocks", Json::from(self.server.compiled_blocks)),
                     ("hit_rate", Json::from(self.server.hit_rate())),
@@ -1097,9 +1101,10 @@ impl Engine {
 
     /// Attempts to promote the hot chain headed at `head` into a
     /// superblock: walks the static successor links (picking the hotter
-    /// edge of conditionals), retranslates the member sequence as one
-    /// trace, and installs it in the trace table. Each head is
-    /// attempted once; failures (short chains, indirect exits,
+    /// edge of conditionals), takes the member sequence's translation
+    /// from the shared superblock library or translates it as one trace
+    /// (publishing it there), and installs it in the trace table. Each
+    /// head is attempted once; failures (short chains, indirect exits,
     /// unsupported shapes) are permanent no-ops.
     fn form_trace(&mut self, prog: &Program, head: &Arc<CachedBlock>) {
         const MAX_MEMBERS: usize = 8;
@@ -1134,17 +1139,14 @@ impl Engine {
         if members.len() < 2 {
             return;
         }
-        // The boot artifact's superblock library is consulted *after*
-        // member selection: on an exact member-list match the stored
+        // The image's superblock library is consulted *after* member
+        // selection: on an exact member-list match the stored
         // translation is reused (translation is deterministic, so it
         // equals what `translate_trace` would produce and the stripped
-        // report stays bit-identical to a cold run); any other member
-        // choice simply misses and retranslates.
+        // report stays bit-identical to a cold run); a miss translates
+        // once and publishes the result for every later session.
         let tb = match self.shared.library_trace(&members) {
-            Some(t) => {
-                self.shared.artifact().record_trace_hit();
-                t
-            }
+            Some(t) => t,
             None => {
                 let Ok(tb) = translate_trace_with(
                     prog,
@@ -1155,15 +1157,15 @@ impl Engine {
                 ) else {
                     return;
                 };
-                Arc::new(tb)
+                self.shared.server().record_trace_translate();
+                self.shared.publish_trace(tb)
             }
         };
         // Intern attribution ids only — no static `hit` and no miss
         // recording: the members' own translations already counted
         // them, and a superblock must not perturb the static rule
-        // counters relative to the unchained engine. Superblocks are
-        // session-local (member choice follows session edge counters),
-        // so the trace translation stays out of the shared cache.
+        // counters relative to the unchained engine. The installed
+        // trace, its links and hotness stay session-local.
         let attr_ids: Vec<(RuleId, u32)> = tb
             .attributions
             .iter()
@@ -2324,6 +2326,57 @@ mod engine_edge_tests {
             "session B's superblocks survive session A's invalidation"
         );
         assert!(b.dispatch.poisoned.is_empty());
+    }
+
+    /// The report JSON minus what describes the shared state or the
+    /// wall clock rather than the session.
+    fn stripped(report: &Report) -> String {
+        let mut doc = report.to_json();
+        if let Json::Obj(top) = &mut doc {
+            top.remove("server");
+            if let Some(Json::Obj(hists)) = top.get_mut("histograms") {
+                hists.remove("translate_ns");
+            }
+            if let Some(Json::Obj(dispatch)) = top.get_mut("dispatch") {
+                dispatch.remove("compile_ns");
+            }
+        }
+        doc.to_string()
+    }
+
+    /// One superblock library per shared state: the first session
+    /// translates each member list once and publishes it; a second
+    /// session forming the same lists translates no trace, and its
+    /// stripped report is byte-identical to a cold run. Live-published
+    /// traces never count as artifact hits.
+    #[test]
+    fn second_session_takes_every_trace_from_the_shared_library() {
+        let prog = two_loop_program();
+        let cfg = EngineConfig {
+            trace_threshold: 5,
+            ..EngineConfig::default()
+        };
+        let shared = Arc::new(SharedTranslationState::new(None, cfg.cache_shards));
+        let first = Engine::with_shared(Arc::clone(&shared), cfg)
+            .run(&prog, &setup())
+            .unwrap();
+        let formed = first.obs.dispatch.traces_formed;
+        assert!(formed >= 2, "both loops formed traces");
+        assert_eq!(first.server.trace_translate_calls, formed);
+        assert_eq!(shared.library_len() as u64, formed);
+
+        let second = Engine::with_shared(Arc::clone(&shared), cfg)
+            .run(&prog, &setup())
+            .unwrap();
+        assert_eq!(second.obs.dispatch.traces_formed, formed);
+        assert_eq!(
+            second.server.trace_translate_calls, formed,
+            "the second session translated a trace"
+        );
+        assert_eq!(second.artifact.trace_hits, 0);
+        let cold = Engine::new(None, cfg).run(&prog, &setup()).unwrap();
+        assert_eq!(stripped(&second), stripped(&cold));
+        assert_eq!(stripped(&first), stripped(&cold));
     }
 
     /// A run past its wall-clock deadline stops with a partial report

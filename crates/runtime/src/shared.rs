@@ -1,6 +1,7 @@
 //! Cross-session translation state: the ruleset, the sharded code
-//! cache of pure translations, and the server-lifetime counters, held
-//! behind one `Arc` so many engines (sessions) can share them.
+//! cache of pure translations, the superblock library, and the
+//! server-lifetime counters, held behind one `Arc` so many engines
+//! (sessions) can share them.
 //!
 //! This is the ownership split behind `pdbt serve`: translating a block
 //! is the expensive, *session-independent* work — the paper's
@@ -16,10 +17,23 @@
 //! stripped report stays bit-identical to a cold single-engine run
 //! (locked down in `tests/determinism.rs`).
 //!
-//! One shared state serves one guest image: translations are keyed by
-//! guest pc, so sessions running *different* programs must use
-//! different states (`pdbt-serve` partitions them by an image
-//! fingerprint) or a session would execute another image's code. The
+//! Superblocks follow the same split. Which blocks a session chains
+//! into a trace follows its own edge counters, but the translation of
+//! a given member list does not: it is a pure function of the image,
+//! the rules and the member list. The state therefore keeps one trace
+//! library per image, keyed by member list. A boot artifact seeds it,
+//! and the first session to form any other member list publishes its
+//! translation there, so every later session forming the same list
+//! translates nothing. The per-session side (the installed trace, its
+//! links, hotness and compiled code) stays in the session.
+//!
+//! One shared state serves one guest image and one
+//! [`TranslateConfig`](crate::TranslateConfig): translations are keyed
+//! by guest pc (blocks) or member list (traces), so sessions running
+//! *different* programs, or translating with different knobs, must
+//! use different states (`pdbt-serve` partitions them by an image
+//! fingerprint and runs `no_delegation` sessions on a private state)
+//! or a session would execute code translated for someone else. The
 //! same contract lets the state hold the image's whole-program
 //! [`ProgramFacts`], built on first use and read by every later block
 //! and trace translation.
@@ -31,7 +45,18 @@ use pdbt_isa::Addr;
 use pdbt_isa_arm::Program;
 use pdbt_obs::{ArtifactCounters, ServerCounters, Telemetry};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+
+/// One superblock of the library: the shared translation plus its
+/// provenance.
+#[derive(Debug)]
+struct LibraryTrace {
+    trace: Arc<TranslatedBlock>,
+    /// Whether the boot artifact carried it (`artifact.trace_hits`
+    /// counts only hits on these), as opposed to a session having
+    /// translated it live.
+    from_artifact: bool,
+}
 
 /// The translation state shared by every session of one server (or
 /// owned exclusively by a standalone engine — `Engine::new` wraps one
@@ -59,15 +84,15 @@ pub struct SharedTranslationState {
     /// server sizes this to its worker count and stamps the partition
     /// fingerprint.
     telemetry: Telemetry,
-    /// The superblock library rehydrated from a translation artifact,
-    /// keyed by the full member list. Immutable after boot: a session
-    /// forming a trace with exactly these members reuses the stored
-    /// translation instead of calling `translate_trace` — translation
-    /// is deterministic, so the result is identical and the session's
-    /// stripped report stays bit-for-bit what a cold run produces.
-    /// Traces a session forms live never enter this map (member choice
-    /// follows session-local edge counters).
-    traces: HashMap<Vec<Addr>, Arc<TranslatedBlock>>,
+    /// The superblock library, keyed by the full member list: seeded
+    /// from a translation artifact at boot and filled by the first
+    /// session to form any other member list (first insert wins). A
+    /// session forming a trace with exactly these members reuses the
+    /// stored translation instead of calling `translate_trace` —
+    /// translation is deterministic, so the result is identical and
+    /// the session's stripped report stays bit-for-bit what a cold run
+    /// produces.
+    traces: RwLock<HashMap<Vec<Addr>, LibraryTrace>>,
     /// What the artifact contributed at boot, plus live library hits.
     /// All-zero for a cold state.
     artifact: ArtifactCounters,
@@ -98,7 +123,7 @@ impl SharedTranslationState {
             facts: OnceLock::new(),
             server: ServerCounters::new(),
             telemetry: Telemetry::with_partition(slots, partition),
-            traces: HashMap::new(),
+            traces: RwLock::new(HashMap::new()),
             artifact: ArtifactCounters::new(),
         }
     }
@@ -125,13 +150,18 @@ impl SharedTranslationState {
         for block in blocks {
             state.cache.insert(block.start, block);
         }
-        state.traces = traces
-            .into_iter()
-            .map(|t| {
-                let members: Vec<Addr> = t.member_marks.iter().map(|m| m.start).collect();
-                (members, Arc::new(t))
-            })
-            .collect();
+        state.traces = RwLock::new(
+            traces
+                .into_iter()
+                .map(|t| {
+                    let entry = LibraryTrace {
+                        trace: Arc::new(t),
+                        from_artifact: true,
+                    };
+                    (entry.trace.member_starts(), entry)
+                })
+                .collect(),
+        );
         state.artifact = counters;
         state
     }
@@ -181,16 +211,37 @@ impl SharedTranslationState {
     }
 
     /// The library translation for a superblock with exactly these
-    /// members, if the boot artifact carried one.
+    /// members, if the boot artifact carried one or a session of this
+    /// state already translated it. A hit on an artifact-loaded trace
+    /// counts in `artifact.trace_hits`.
     #[must_use]
     pub fn library_trace(&self, members: &[Addr]) -> Option<Arc<TranslatedBlock>> {
-        self.traces.get(members).cloned()
+        let library = self.library();
+        let hit = library.get(members)?;
+        if hit.from_artifact {
+            self.artifact.record_trace_hit();
+        }
+        Some(Arc::clone(&hit.trace))
     }
 
-    /// Superblocks in the boot library.
+    /// Publishes a live trace translation under its member list and
+    /// returns the library's copy. When another session published the
+    /// same list first, its translation is kept — translation is
+    /// deterministic, so the two are identical.
+    pub fn publish_trace(&self, trace: TranslatedBlock) -> Arc<TranslatedBlock> {
+        let members = trace.member_starts();
+        let mut library = self.traces.write().unwrap_or_else(PoisonError::into_inner);
+        let entry = library.entry(members).or_insert_with(|| LibraryTrace {
+            trace: Arc::new(trace),
+            from_artifact: false,
+        });
+        Arc::clone(&entry.trace)
+    }
+
+    /// Superblocks in the library (boot artifact plus live).
     #[must_use]
     pub fn library_len(&self) -> usize {
-        self.traces.len()
+        self.library().len()
     }
 
     /// A clone of every library superblock, for re-sealing this state
@@ -198,7 +249,17 @@ impl SharedTranslationState {
     /// canonical artifact writer sorts.
     #[must_use]
     pub fn library_traces(&self) -> Vec<TranslatedBlock> {
-        self.traces.values().map(|t| (**t).clone()).collect()
+        self.library()
+            .values()
+            .map(|t| (*t.trace).clone())
+            .collect()
+    }
+
+    /// The library under its read lock. Every critical section is one
+    /// lookup, insert or copy, so a panicking holder cannot leave it
+    /// half-updated and poisoning is recovered from, not propagated.
+    fn library(&self) -> std::sync::RwLockReadGuard<'_, HashMap<Vec<Addr>, LibraryTrace>> {
+        self.traces.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The artifact counters.

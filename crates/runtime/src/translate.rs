@@ -197,6 +197,16 @@ pub struct TranslatedBlock {
     pub member_marks: Vec<MemberMark>,
 }
 
+impl TranslatedBlock {
+    /// The guest start of every superblock member, in trace order: the
+    /// key a superblock library files the trace under. Empty for an
+    /// ordinary block.
+    #[must_use]
+    pub fn member_starts(&self) -> Vec<Addr> {
+        self.member_marks.iter().map(|m| m.start).collect()
+    }
+}
+
 struct Emitter {
     code: Vec<HInst>,
     classes: Vec<CodeClass>,
@@ -713,7 +723,13 @@ fn build_body_segments(
         // --- learned sequence rules (longest-first, §V-D) ---
         if let Some(rules) = rules {
             if rules.max_seq_len() >= 2 {
-                let tail: Vec<GInst> = insts[i..].iter().map(|(_, x)| (*x).clone()).collect();
+                // `lookup_seq` reads at most `max_seq_len` instructions,
+                // so the window need not clone the rest of the body.
+                let tail: Vec<GInst> = insts[i..]
+                    .iter()
+                    .take(rules.max_seq_len())
+                    .map(|(_, x)| (*x).clone())
+                    .collect();
                 if let Some(sm) = rules.lookup_seq(&tail) {
                     // Flag policy: no instruction inside the sequence may
                     // define live flags except the last, which follows

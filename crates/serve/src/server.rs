@@ -18,9 +18,16 @@
 //! session would execute the other program's translation. The server
 //! therefore keeps one [`SharedTranslationState`] per distinct guest
 //! image (fingerprint of base address + instruction listing): sessions
-//! running the same image share its warm cache, while an unrelated
-//! image gets a fresh partition with a clone of the server's ruleset.
-//! Status counters aggregate across partitions.
+//! running the same image share its warm cache and superblock library,
+//! while an unrelated image gets a fresh partition with a clone of the
+//! server's ruleset. Status counters aggregate across partitions.
+//!
+//! A partition's translations are made with the default translation
+//! knobs. A `no_delegation` request translates differently, so it runs
+//! on a private state carrying the partition's rules: it neither reads
+//! nor fills the partition's cache, and its translation counters stay
+//! out of the aggregate (its latency still lands in the partition's
+//! telemetry).
 //!
 //! # Session isolation
 //!
@@ -201,10 +208,11 @@ struct Partition {
     /// The guest image — sealing needs the GIMG section.
     program: Arc<Program>,
     /// The latest sealed bytes and their advertisement, refreshed
-    /// lazily when the live cache outgrows them. The shared cache only
-    /// ever grows and blocks are immutable, so `ad.blocks` matching the
-    /// live block count means the seal is current. `None` until first
-    /// sealed, and for a boot artifact that salvaged damage.
+    /// lazily when the live state outgrows them. The shared cache and
+    /// trace library only ever grow and their entries are immutable,
+    /// so `ad.blocks` and `ad.traces` matching the live counts means
+    /// the seal is current. `None` until first sealed, and for a boot
+    /// artifact that salvaged damage.
     sealed: Option<(Arc<Vec<u8>>, ArtifactAd)>,
     /// The generation the artifact dir holds for this image (`None` =
     /// not on disk); drain write-back only writes past it.
@@ -644,6 +652,7 @@ fn fold(ctx: &ServerCtx) -> Fold {
         f.server.inserted += snap.inserted;
         f.server.hits += snap.hits;
         f.server.translate_calls += snap.translate_calls;
+        f.server.trace_translate_calls += snap.trace_translate_calls;
         f.server.sessions += snap.sessions;
         f.server.compiled_blocks += snap.compiled_blocks;
         f.trace_hits += art.trace_hits;
@@ -697,6 +706,10 @@ fn status(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
                 ("inserted", Json::from(f.server.inserted)),
                 ("hits", Json::from(f.server.hits)),
                 ("translate_calls", Json::from(f.server.translate_calls)),
+                (
+                    "trace_translate_calls",
+                    Json::from(f.server.trace_translate_calls),
+                ),
                 ("sessions", Json::from(f.server.sessions)),
                 (
                     "reply_errors",
@@ -763,6 +776,10 @@ fn stats(ctx: &ServerCtx, queue: &TaskQueue) -> Json {
                 ("inserted", Json::from(f.server.inserted)),
                 ("hits", Json::from(f.server.hits)),
                 ("translate_calls", Json::from(f.server.translate_calls)),
+                (
+                    "trace_translate_calls",
+                    Json::from(f.server.trace_translate_calls),
+                ),
                 ("sessions", Json::from(f.server.sessions)),
                 ("compiled_blocks", Json::from(f.server.compiled_blocks)),
                 ("hit_rate", Json::from(f.server.hit_rate())),
@@ -859,9 +876,10 @@ fn fleet_json(ctx: &ServerCtx) -> Json {
 }
 
 /// The current sealed bytes and advertisement of one partition,
-/// re-sealing when the live cache has outgrown the last seal. Every
-/// content change takes the next generation past both the last seal
-/// and the disk copy, so this node's versions are monotone. Returns
+/// re-sealing when the live code cache or superblock library has
+/// outgrown the last seal. Every content change takes the next
+/// generation past both the last seal and the disk copy, so this
+/// node's versions are monotone. Returns
 /// `None` for an unknown partition or one with nothing to seal (empty
 /// cache, never sealed).
 ///
@@ -874,8 +892,9 @@ fn seal_partition(ctx: &ServerCtx, fp: u64) -> Option<(Arc<Vec<u8>>, ArtifactAd)
         let map = lock(&ctx.partitions);
         let p = map.get(&fp)?;
         let live_blocks = p.state.cache().len() as u64;
+        let live_traces = p.state.library_len() as u64;
         match &p.sealed {
-            Some((bytes, ad)) if ad.blocks == live_blocks => {
+            Some((bytes, ad)) if ad.blocks == live_blocks && ad.traces == live_traces => {
                 return Some((Arc::clone(bytes), ad.clone()));
             }
             None if live_blocks == 0 => return None,
@@ -891,13 +910,14 @@ fn seal_partition(ctx: &ServerCtx, fp: u64) -> Option<(Arc<Vec<u8>>, ArtifactAd)
         )
     };
     let blocks = state.cache().len() as u64;
+    let traces = state.library_len() as u64;
     let bytes = Arc::new(seal_live(&label, &program, &state));
     let ad = ArtifactAd {
         fingerprint: fp,
         version: ArtifactVersion::of_bytes(generation, &bytes)
             .expect("a self-sealed artifact always parses"),
         blocks,
-        traces: state.library_len() as u64,
+        traces,
         bytes: bytes.len() as u64,
         label,
     };
@@ -1078,8 +1098,9 @@ fn resolve_guest(ctx: &ServerCtx, req: &Json) -> Result<(Guest, RunSetup, String
 /// handed from [`run_request`] back to [`serve_request`] (which adds
 /// the phase stamps only it can measure).
 struct RequestTelemetry {
-    /// The partition the session ran against (for recording into its
-    /// telemetry plane).
+    /// The partition of the session's guest image (for recording into
+    /// its telemetry plane — also for a session that translated on a
+    /// private state).
     shared: Arc<SharedTranslationState>,
     partition: u64,
     outcome: String,
@@ -1129,11 +1150,23 @@ fn run_request(ctx: &ServerCtx, req: &Json) -> Result<(Json, RequestTelemetry), 
         .unwrap_or(false);
     let partition = image_fingerprint(guest.program());
     let shared = ctx.state_for(partition, &label, guest.program());
+    // A partition's translations are made with the default knobs; a
+    // session translating without flag delegation would plant blocks
+    // and traces that differ from them, so it runs on a private state
+    // with the partition's rules and leaves the partition untouched.
+    let translation = if cfg.translate.flag_delegation {
+        Arc::clone(&shared)
+    } else {
+        Arc::new(SharedTranslationState::new(
+            shared.rules().cloned(),
+            ctx.cache_shards,
+        ))
+    };
     // Request-scoped fault arming: armed with this request's plan, or
     // explicitly shielded from any process-global plan. Installed after
     // workload resolution so corpus builds are never degraded.
     let _guard = pdbt_faults::scoped(plan);
-    let mut engine = Engine::with_shared(Arc::clone(&shared), cfg);
+    let mut engine = Engine::with_shared(translation, cfg);
     let report = engine
         .run(guest.program(), &setup)
         .map_err(|e| e.to_string())?;
@@ -1491,5 +1524,60 @@ mod tests {
         pdbt_fleet::validate(&g1, fp).expect("the write-back is a whole artifact");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A two-block loop (`0x1008` → `0x1010` → back) summing 30..1.
+    const LOOP: &str = "mov r0, #30\nmov r1, #0\nadd r1, r1, r0\nb .+4\n\
+                        subs r0, r0, #1\nbne .-12\nmov r0, r1\nsvc #1\nsvc #0\n";
+
+    /// A seal is reused while the partition is unchanged, and redone
+    /// when only the superblock library grew (a session formed a new
+    /// member list over blocks the cache already held).
+    #[test]
+    fn seal_partition_reseals_when_only_the_trace_library_grew() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+        let ctx = &server.ctx;
+        let prog = Program::new(0x1000, pdbt_isa_arm::parse_listing(LOOP).unwrap());
+        let fp = prog.fingerprint();
+        let state = ctx.state_for(fp, "loop", &prog);
+        let cfg = EngineConfig {
+            trace_threshold: 5,
+            ..EngineConfig::default()
+        };
+        let setup = RunSetup::basic(0x10_0000, 0x1000, 0x8_0000, 0x1000);
+        let report = Engine::with_shared(Arc::clone(&state), cfg)
+            .run(&prog, &setup)
+            .unwrap();
+        assert_eq!(report.output, [465]);
+        let (first, ad) = seal_partition(ctx, fp).expect("sealed");
+        assert!(ad.traces >= 1, "the loop formed a trace");
+        let (again, _) = seal_partition(ctx, fp).unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "an unchanged partition re-sealed"
+        );
+
+        // The entry block runs once, so no session makes it a head.
+        let entry = state.cache().get(0x1000).expect("entry block cached");
+        let pdbt_runtime::BlockSuccs::One(next) = entry.succ else {
+            panic!("the entry block falls through");
+        };
+        let members = [0x1000, next];
+        assert!(state.library_trace(&members).is_none());
+        let trace = pdbt_runtime::translate_trace(
+            &prog,
+            &members,
+            None,
+            &pdbt_runtime::TranslateConfig::default(),
+        )
+        .unwrap();
+        state.publish_trace(trace);
+        assert_eq!(state.cache().len() as u64, ad.blocks);
+        let (resealed, ad2) = seal_partition(ctx, fp).unwrap();
+        assert_eq!(ad2.traces, ad.traces + 1);
+        assert_eq!(ad2.blocks, ad.blocks);
+        assert_eq!(ad2.version.generation, ad.version.generation + 1);
+        let opened = pdbt_artifact::open_salvage(&resealed).unwrap();
+        assert_eq!(opened.artifact.traces.len() as u64, ad2.traces);
     }
 }

@@ -10,9 +10,9 @@
 //! generation and count the rest.
 
 use pdbt::artifact::{open_salvage, seal, warm_state};
-use pdbt::fleet::artifact_file_name;
+use pdbt::fleet::{artifact_file_name, seal_live};
 use pdbt::obs::json::Json;
-use pdbt::runtime::{Engine, EngineConfig, Report};
+use pdbt::runtime::{Engine, EngineConfig, Report, SharedTranslationState};
 use pdbt::workloads::{build, Benchmark, Scale};
 use pdbt_serve::{ping, shutdown, submit, sync, ServeConfig, ServeSummary, Server};
 use std::net::SocketAddr;
@@ -210,14 +210,22 @@ fn drain_write_back_seals_grown_partitions_to_a_fixpoint() {
         "write-back artifact is not a seal fixpoint"
     );
 
-    // And it is complete: a warm boot off it does zero translation and
-    // matches a cold run bit-for-bit.
+    // And it is complete: it carries the traces the session formed, and
+    // a warm boot off it translates no block and no trace and matches a
+    // cold run bit-for-bit.
     let cold = oracle_run();
+    assert!(cold.obs.dispatch.traces_formed > 0, "vacuous: no traces");
+    assert_eq!(
+        opened.artifact.traces.len() as u64,
+        cold.obs.dispatch.traces_formed
+    );
     let shared = Arc::new(warm_state(&opened, None, 8, 1));
     let warm = Engine::with_shared(shared, EngineConfig::default())
         .run(&w.pair.guest.program, &w.setup())
         .expect("warm run");
     assert_eq!(warm.server.translate_calls, 0);
+    assert_eq!(warm.server.trace_translate_calls, 0);
+    assert_eq!(warm.artifact.trace_hits, cold.obs.dispatch.traces_formed);
     assert_eq!(stripped(&warm.to_json()), stripped(&cold.to_json()));
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -340,4 +348,53 @@ fn artifact_synced_into_a_running_follower_warms_its_first_request() {
     assert_eq!(follower_h.join().unwrap().panicked, 0);
     assert_eq!(leader_h.join().unwrap().panicked, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A live library can hold two member lists with one head: a
+/// fault-armed session, whose poisoned blocks cut its traces short,
+/// and a clean session on one partition. Sealing stays canonical even
+/// though every state walks its library in its own hash order: two
+/// partitions fed the two sessions in opposite orders seal to the same
+/// bytes, `seal∘open∘seal` is a fixpoint, and a warm boot off the seal
+/// re-seals to it.
+#[test]
+fn live_libraries_with_repeated_heads_seal_canonically() {
+    let w = build(Benchmark::Gcc, Scale::tiny());
+    let prog = &w.pair.guest.program;
+    let cold = Engine::new(None, EngineConfig::default())
+        .run(prog, &w.setup())
+        .expect("cold run");
+    // Poisons enough gcc/tiny blocks that several heads chain into two
+    // member lists.
+    let plan = pdbt_faults::Plan::parse("seed=2,rate=0.1,sites=cache").expect("plan");
+    let session = |state: &Arc<SharedTranslationState>, armed: bool| {
+        let _guard = pdbt_faults::scoped(armed.then_some(plan));
+        let report = Engine::with_shared(Arc::clone(state), EngineConfig::default())
+            .run(prog, &w.setup())
+            .expect("run");
+        assert_eq!(report.output, cold.output);
+    };
+    let partition = |armed_first: bool| {
+        let state = Arc::new(SharedTranslationState::new(None, 8));
+        session(&state, armed_first);
+        session(&state, !armed_first);
+        state
+    };
+    let sealed = seal_live("gcc/tiny", prog, &partition(true));
+    assert_eq!(seal_live("gcc/tiny", prog, &partition(false)), sealed);
+
+    let opened = open_salvage(&sealed).expect("opens");
+    assert!(opened.quarantined.is_empty());
+    assert_eq!(seal(&opened.artifact), sealed, "seal∘open∘seal moved");
+    let warm = warm_state(&opened, None, 8, 1);
+    assert_eq!(seal_live("gcc/tiny", prog, &warm), sealed);
+
+    // With injection compiled in, the armed session really did chain
+    // differently: some head carries two member lists.
+    if pdbt_faults::ENABLED {
+        let mut heads: Vec<u32> = opened.artifact.traces.iter().map(|t| t.start).collect();
+        let traces = heads.len();
+        heads.dedup();
+        assert!(heads.len() < traces, "no head repeats: the test is vacuous");
+    }
 }

@@ -137,6 +137,7 @@ fn report_json_schema_matches_golden() {
         "server.inserted",
         "server.hits",
         "server.translate_calls",
+        "server.trace_translate_calls",
         "server.sessions",
         "server.hit_rate",
         "server.compiled_blocks",

@@ -5,9 +5,11 @@
 //! byte — while the server-lifetime counters prove the sharing
 //! actually happened.
 
+use pdbt::core::learning::{learn_into, LearnConfig};
+use pdbt::core::RuleSet;
 use pdbt::obs::json::Json;
 use pdbt::runtime::{Engine, EngineConfig, Report};
-use pdbt::workloads::{build, Benchmark, Scale};
+use pdbt::workloads::{build, suite, Benchmark, Scale};
 use pdbt_serve::{ping, shutdown, stats, submit, ServeConfig, ServeSummary, Server};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -291,5 +293,76 @@ fn fault_armed_and_deadline_requests_leave_neighbours_untouched() {
     shutdown(addr, T).expect("shutdown");
     let summary = handle.join().unwrap();
     assert_eq!(summary.requests, 4);
+    assert_eq!(summary.panicked, 0);
+}
+
+/// Rules learned over the tiny suite (undegraded debug maps): without
+/// rules, flag delegation has nothing to act on.
+fn tiny_suite_rules() -> RuleSet {
+    let mut learned = RuleSet::new();
+    for w in &suite(Scale::tiny()) {
+        let mut r = RuleSet::new();
+        learn_into(&mut r, &w.pair, &w.debug, LearnConfig::default());
+        learned.merge(r);
+    }
+    learned
+}
+
+/// A partition translates with the default knobs. A `no_delegation`
+/// session translates differently, so it must neither read nor fill
+/// the partition: run first on a fresh image, it must match its own
+/// cold run, and the normal session after it must still match a cold
+/// delegated run — for every suite program.
+#[test]
+fn no_delegation_sessions_leave_the_shared_partition_untouched() {
+    let rules = tiny_suite_rules();
+    let (addr, handle) = spawn_server(ServeConfig {
+        rules: Some(rules.clone()),
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+    let mut differing = 0;
+    for (i, bench) in (0u64..).zip(Benchmark::ALL) {
+        let w = build(bench, Scale::tiny());
+        let cold = |flag_delegation: bool| {
+            let mut cfg = EngineConfig::default();
+            cfg.translate.flag_delegation = flag_delegation;
+            Engine::new(Some(rules.clone()), cfg)
+                .run(&w.pair.guest.program, &w.setup())
+                .expect("cold run")
+                .to_json()
+        };
+        let request = |id: u64, no_delegation: bool| {
+            Json::obj([
+                ("id", Json::from(id)),
+                ("workload", Json::str(bench.name())),
+                ("scale", Json::str("tiny")),
+                ("no_delegation", Json::from(no_delegation)),
+            ])
+        };
+        let (plain_cold, delegated_cold) = (stripped(&cold(false)), stripped(&cold(true)));
+        if plain_cold != delegated_cold {
+            differing += 1;
+        }
+        let plain = submit(addr, &request(2 * i, true), T).expect("no-delegation submit");
+        assert_eq!(
+            stripped(report_of(&plain)),
+            plain_cold,
+            "{}: the no-delegation session diverged from its cold run",
+            bench.name()
+        );
+        let normal = submit(addr, &request(2 * i + 1, false), T).expect("submit");
+        assert_eq!(
+            stripped(report_of(&normal)),
+            delegated_cold,
+            "{}: a no-delegation session leaked into the shared partition",
+            bench.name()
+        );
+    }
+    assert!(differing > 0, "delegation changed no report: vacuous test");
+
+    shutdown(addr, T).expect("shutdown");
+    let summary = handle.join().unwrap();
+    assert_eq!(summary.requests, 2 * Benchmark::ALL.len() as u64);
     assert_eq!(summary.panicked, 0);
 }
